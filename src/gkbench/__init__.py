@@ -2,106 +2,61 @@
 with sign twists, twisted group rings, quantum affine spaces at roots of
 unity, and the growth-degree statistics of the algebras they generate."""
 
-from .budget import WorkBudgetExceeded
-from .campaigns import campaign_names, run_campaign
-from .cyclo import CycElem, CycField, tower_check
-from .gammalab import (
-    IndependenceWitness,
-    gamma_coeff,
-    gamma_coeff_oracle,
-    independence_witness,
-    rn_basis_size,
-    rn_dim,
-    rn_dim_series,
-)
-from .growth import (
-    DegreeEstimate,
-    GrowthSeries,
-    LinearFit,
-    degree_estimate,
-    slope_extract,
-)
-from .mqfield import MQElem, PrimeBasis, first_primes, is_prime
-from .ordgroup import EQ, GT, LT, GroupElem
-from .parser import (
-    ParseError,
-    parse,
-    to_field,
-    to_free_word,
-    to_group,
-    to_quantum,
-    to_twisted,
-)
-from .qaffine import (
-    FreeWord,
-    HomCheckReport,
-    QAlgebra,
-    QPoly,
-    central_power_check,
-    dim_Vr,
-    embed_root,
-    gk_profile,
-    hom_check,
-    normal_form,
-    normal_form_random,
-    power_is_central,
-    power_map_images,
-)
-from .reports import REPORT_SCHEMA, Record, all_passed, emit
-from .twistring import TwistedElem
+import importlib
+
+# Each submodule and the public names it defines.  A submodule is imported
+# on first access to one of its names (PEP 562), so `import gkbench` loads
+# only what the caller uses.  Names are looked up in the submodule on every
+# access, not copied here, so a name rebound there is seen here too.
+_EXPORTS = {
+    "budget": ("WorkBudgetExceeded",),
+    "campaigns": ("campaign_names", "run_campaign"),
+    "cyclo": ("CycElem", "CycField", "tower_check"),
+    "gammalab": (
+        "IndependenceWitness",
+        "gamma_coeff",
+        "gamma_coeff_oracle",
+        "independence_witness",
+        "rn_basis_size",
+        "rn_dim",
+        "rn_dim_series",
+    ),
+    "growth": ("DegreeEstimate", "GrowthSeries", "LinearFit", "degree_estimate", "slope_extract"),
+    "mqfield": ("MQElem", "PrimeBasis", "first_primes", "is_prime"),
+    "ordgroup": ("EQ", "GT", "LT", "GroupElem"),
+    "parser": ("ParseError", "parse", "to_field", "to_free_word", "to_group", "to_quantum", "to_twisted"),
+    "qaffine": (
+        "FreeWord",
+        "HomCheckReport",
+        "QAlgebra",
+        "QPoly",
+        "central_power_check",
+        "dim_Vr",
+        "embed_root",
+        "gk_profile",
+        "hom_check",
+        "normal_form",
+        "normal_form_random",
+        "power_is_central",
+        "power_map_images",
+    ),
+    "reports": ("REPORT_SCHEMA", "Record", "all_passed", "emit"),
+    "twistring": ("TwistedElem",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycElem",
-    "CycField",
-    "DegreeEstimate",
-    "EQ",
-    "FreeWord",
-    "GT",
-    "GroupElem",
-    "GrowthSeries",
-    "HomCheckReport",
-    "IndependenceWitness",
-    "LT",
-    "LinearFit",
-    "MQElem",
-    "ParseError",
-    "PrimeBasis",
-    "QAlgebra",
-    "QPoly",
-    "REPORT_SCHEMA",
-    "Record",
-    "TwistedElem",
-    "WorkBudgetExceeded",
-    "all_passed",
-    "campaign_names",
-    "central_power_check",
-    "degree_estimate",
-    "dim_Vr",
-    "embed_root",
-    "emit",
-    "first_primes",
-    "gamma_coeff",
-    "gamma_coeff_oracle",
-    "gk_profile",
-    "hom_check",
-    "independence_witness",
-    "is_prime",
-    "normal_form",
-    "normal_form_random",
-    "parse",
-    "power_is_central",
-    "power_map_images",
-    "rn_basis_size",
-    "rn_dim",
-    "rn_dim_series",
-    "run_campaign",
-    "slope_extract",
-    "to_field",
-    "to_free_word",
-    "to_group",
-    "to_quantum",
-    "to_twisted",
-    "tower_check",
-]
+__all__ = sorted(_HOME)

@@ -1,8 +1,9 @@
 """Global work budget for the enumeration-heavy operations.
 
-The cap is read from the WORKBENCH_MAX_OPS environment variable once at
-import time (default 10**8 primitive term operations).  Heavy loops charge
-the counter in coarse chunks; exceeding the cap raises WorkBudgetExceeded
+The cap is read from the WORKBENCH_MAX_OPS environment variable on first
+use (default 10**8 primitive term operations); a value that is not an
+integer raises ValueError naming the variable.  Heavy loops charge the
+counter in coarse chunks; exceeding the cap raises WorkBudgetExceeded
 instead of letting a runaway enumeration eat the machine.
 """
 
@@ -19,10 +20,14 @@ def _cap_from_env():
     raw = os.environ.get("WORKBENCH_MAX_OPS")
     if raw is None:
         return DEFAULT_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"WORKBENCH_MAX_OPS must be an integer, got {raw!r}") from None
 
 
-_cap = _cap_from_env()
+_FROM_ENV = object()  # sentinel: the cap is read from the environment on first use
+_cap = _FROM_ENV
 _used = 0
 
 
@@ -34,6 +39,10 @@ def set_cap(cap):
 
 
 def cap():
+    """The operation cap; reads WORKBENCH_MAX_OPS if no cap is set yet."""
+    global _cap
+    if _cap is _FROM_ENV:
+        _cap = _cap_from_env()
     return _cap
 
 
@@ -51,8 +60,9 @@ def charge(n=1):
     """Account for n primitive term operations."""
     global _used
     _used += n
-    if _cap is not None and _used > _cap:
+    limit = _cap if _cap is not _FROM_ENV else cap()
+    if limit is not None and _used > limit:
         raise WorkBudgetExceeded(
-            f"operation budget exhausted: {_used} > {_cap} "
+            f"operation budget exhausted: {_used} > {limit} "
             "(raise WORKBENCH_MAX_OPS to allow more work)"
         )

@@ -387,6 +387,7 @@ def main(argv=None) -> int:
     budget.reset()
     args = build_parser().parse_args(argv)
     try:
+        budget.cap()  # a malformed WORKBENCH_MAX_OPS is bad input, not a crash
         records = args.handler(args)
     except budget.WorkBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,27 @@
 """Exact arithmetic in the prime-power cyclotomic fields Q(zeta), zeta a
-primitive p**(2t)-th root of unity.
+primitive m-th root of unity, m = p**(2t).
 
-Elements are rational coefficient vectors of fixed length phi(p**(2t)),
-read as polynomials in zeta reduced modulo the prime-power cyclotomic
-polynomial  sum_{j<p} X**(j * p**(2t-1)).  Equality is componentwise;
-inverses come from the extended Euclidean algorithm in Q[X].
+Representation.  An element is sum_{k<d} c_k zeta**k, d = phi(m), held as
+integer numerators `nums` over one positive denominator `den`, in lowest
+terms: gcd(nums, den) = 1, and den = 1 for zero.  That form is canonical, so
+equality and hashing compare it directly.  `coeffs` gives the same vector as
+Fractions.
+
+Reduction.  With s = m - d = p**(2t-1) the modulus is the cyclotomic
+polynomial sum_{j<p} X**(j*s).  A coefficient vector of any length is
+reduced in one O(d) pass: fold k -> k mod m (zeta**m = 1), then rewrite
+each zeta**(d+r), r < s, as -sum_{j<p-1} zeta**(j*s+r).
+
+Products.  Kronecker substitution: each numerator vector is packed into one
+big integer, with slots wide enough for every coefficient of the product,
+the two are multiplied once, and the product is unpacked with signs and
+reduced.  Multiplying by zeta**k is an index shift (`times_zeta`), and
+`conjugate(k)` applies the automorphism zeta -> zeta**k.
+
+Inverses.  Down the tower Q(zeta_{p^k}) > Q(zeta_{p^(k-1)}) > ... > Q: the
+product r of the conjugates of a over the next field down makes a*r a
+relative norm, a polynomial in zeta**p.  That is inverted one level down,
+and a**-1 = r * (a*r)**-1.
 
 The degenerate level t = 0 (the rationals, zeta = 1, modulus X - 1) is
 admitted so that maps out of the commutative base algebra can be checked
@@ -13,9 +30,13 @@ with the same machinery.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 from .mqfield import is_prime
+from .ringops import power
 
 
 # --- dense polynomial helpers over Fraction (little-endian coefficient lists)
@@ -25,19 +46,6 @@ def _trim(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return _trim(out)
 
 
 def _poly_divmod(a, b):
@@ -58,34 +66,144 @@ def _poly_divmod(a, b):
     return _trim(quot), rem
 
 
-def _poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic unless zero."""
-    old_r, r = list(a), list(b)
-    old_s, s = [Fraction(1)], []
-    old_t, t = [], [Fraction(1)]
-    while r:
-        q, rem = _poly_divmod(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, _trim([x - y for x, y in _zip_pad(old_s, _poly_mul(q, s))])
-        old_t, t = t, _trim([x - y for x, y in _zip_pad(old_t, _poly_mul(q, t))])
-    if old_r:
-        lead = old_r[-1]
-        old_r = [c / lead for c in old_r]
-        old_s = [c / lead for c in old_s]
-        old_t = [c / lead for c in old_t]
-    return old_r, old_s, old_t
+# --- the integer kernel ------------------------------------------------------------
+
+# Slot widths (bytes) that unpack through a machine-word memoryview, whose
+# native byte order must match the little-endian packing; wider slots are
+# sliced out of the byte string one by one.
+_WORDS = {2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    pad = lambda xs: list(xs) + [Fraction(0)] * (n - len(xs))
-    return zip(pad(a), pad(b))
+def _kronecker(a, b):
+    """Product of two integer coefficient lists, by one big-int product."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # bytes; the extra bit is the sign
+    width = next((size for size in _WORDS if size >= width), width)
+    bits = 8 * width
+    packed_a = packed_b = 0
+    for c in reversed(a):
+        packed_a = (packed_a << bits) + c
+    for c in reversed(b):
+        packed_b = (packed_b << bits) + c
+    slots = len(a) + len(b) - 1
+    # Adding 2**(bits-1) to every slot makes each one nonnegative, so the
+    # slots can be read off the bytes and shifted back.
+    half = 1 << (bits - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (packed_a * packed_b + bias).to_bytes(slots * width, "little")
+    if width in _WORDS:
+        words = memoryview(raw).cast(_WORDS[width])
+    else:
+        words = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    return [w - half for w in words]
+
+
+class _Level:
+    """Z[X]/Phi(X), Phi the p**k-th cyclotomic polynomial: integer vectors of
+    length d = phi(p**k); `lower` is the level k - 1 (None at k = 0)."""
+
+    __slots__ = ("p", "m", "d", "s", "lower")
+
+    def __init__(self, p: int, k: int):
+        self.p = p
+        self.m = p**k
+        self.d = (p - 1) * p ** (k - 1) if k else 1
+        self.s = self.m - self.d
+        self.lower = _Level(p, k - 1) if k else None
+
+    def reduce(self, c):
+        """Length-d representative of an integer list of any length; the
+        list is consumed."""
+        m, d, s = self.m, self.d, self.s
+        if len(c) > m:
+            head = c[:m]
+            for start in range(m, len(c), m):
+                chunk = c[start:start + m]
+                head[:len(chunk)] = map(add, head, chunk)
+            c = head
+        if len(c) <= d:
+            return c + [0] * (d - len(c))
+        high = c[d:]  # zeta**(d+r) = -sum_{j<p-1} zeta**(j*s+r)
+        del c[d:]
+        width = len(high)
+        for base in range(0, d, s):
+            c[base:base + width] = map(sub, c[base:base + width], high)
+        return c
+
+    def mul(self, a, b):
+        return self.reduce(_kronecker(a, b))
+
+    def shift(self, a, k: int):
+        """a * zeta**k."""
+        m = self.m
+        k %= m
+        if not k:
+            return list(a)
+        c = list(a) + [0] * self.s
+        return self.reduce(c[m - k:] + c[:m - k])
+
+    def conjugate(self, a, j: int):
+        """a with zeta -> zeta**j, j a unit mod m."""
+        m = self.m
+        c = [0] * m
+        for i, x in enumerate(a):
+            if x:
+                c[i * j % m] = x
+        return self.reduce(c)
+
+    def inverse(self, a):
+        """(nums, den) with a * nums / den = 1, for a nonzero vector a."""
+        if self.d == 1:
+            return [1 if a[0] > 0 else -1], abs(a[0])
+        p, m, s = self.p, self.m, self.s
+        # zeta -> zeta**j for j = 1 + s, 1 + 2s, ... are the automorphisms
+        # over the next field down (at k = 1, every j = 2..p-1)
+        r = None
+        for j in range(1 + s, m, s):
+            image = self.conjugate(a, j)
+            r = image if r is None else self.mul(r, image)
+        norm = self.mul(a, r)
+        if any(any(norm[i::p]) for i in range(1, p)):
+            raise ArithmeticError("relative norm has an exponent not divisible by p")
+        nums, den = self.lower.inverse(norm[::p])
+        up = [0] * self.d
+        up[::p] = nums
+        return self.mul(r, up), den
+
+
+def _elem(field: "CycField", nums, den: int = 1) -> "CycElem":
+    """Trusted constructor: nums/den already in lowest terms."""
+    elem = object.__new__(CycElem)
+    elem.field = field
+    elem.nums = tuple(nums)
+    elem.den = den
+    return elem
+
+
+def _normal(field: "CycField", nums, den: int) -> "CycElem":
+    """nums/den brought to lowest terms; den must be positive."""
+    if den != 1:
+        g = gcd(*nums, den)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return _elem(field, nums, den)
+
+
+def _lone(nums) -> int:
+    """Index of the only nonzero entry, or -1."""
+    if nums.count(0) != len(nums) - 1:
+        return -1
+    return next(i for i, c in enumerate(nums) if c)
+
+
+_ZERO = Fraction(0)
 
 
 class CycField:
     """Q(zeta) with zeta a primitive p**(2t)-th root of unity."""
 
-    __slots__ = ("p", "t", "m", "degree", "modulus")
+    __slots__ = ("p", "t", "m", "degree", "modulus", "_level")
 
     def __init__(self, p: int, t: int):
         p = int(p)
@@ -97,13 +215,13 @@ class CycField:
         self.p = p
         self.t = t
         self.m = p ** (2 * t)
+        self._level = _Level(p, 2 * t)
+        self.degree = self._level.d
         if t == 0:
             # degenerate level: Q itself, zeta = 1
-            self.degree = 1
             self.modulus = (Fraction(-1), Fraction(1))  # X - 1
         else:
-            self.degree = p ** (2 * t - 1) * (p - 1)
-            mod = [Fraction(0)] * (self.degree + 1)
+            mod = [_ZERO] * (self.degree + 1)
             step = p ** (2 * t - 1)
             for j in range(p):
                 mod[j * step] = Fraction(1)
@@ -122,36 +240,37 @@ class CycField:
 
     def element(self, coeffs) -> "CycElem":
         """Element from an arbitrary-length coefficient list, reduced."""
-        poly = _trim([Fraction(c) for c in coeffs])
-        _, rem = _poly_divmod(poly, list(self.modulus))
-        padded = rem + [Fraction(0)] * (self.degree - len(rem))
-        return CycElem(self, tuple(padded))
+        values = list(coeffs)
+        if all(type(c) is int for c in values):
+            return _normal(self, self._level.reduce(values), 1)
+        values = [Fraction(c) for c in values]
+        den = lcm(*(c.denominator for c in values))
+        nums = [c.numerator * (den // c.denominator) for c in values]
+        return _normal(self, self._level.reduce(nums), den)
 
     def zero(self) -> "CycElem":
-        return CycElem(self, tuple([Fraction(0)] * self.degree))
+        return _elem(self, [0] * self.degree)
 
     def one(self) -> "CycElem":
         return self.rational(1)
 
     def rational(self, value) -> "CycElem":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(value)
-        return CycElem(self, tuple(coeffs))
+        value = Fraction(value)
+        return _elem(self, [value.numerator] + [0] * (self.degree - 1), value.denominator)
 
     @property
     def zeta(self) -> "CycElem":
         """The class of X: the distinguished primitive m-th root of unity."""
         if self.degree == 1:
             return self.one()
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return CycElem(self, tuple(coeffs))
+        return _elem(self, [0, 1] + [0] * (self.degree - 2))
 
 
 class CycElem:
-    """Reduced coefficient vector (length = field degree) over a CycField."""
+    """Element of a CycField: integer numerators over one denominator, in
+    lowest terms (see the module docstring)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: CycField, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -159,21 +278,29 @@ class CycElem:
             raise ValueError(
                 f"coefficient vector has length {len(coeffs)}, expected {field.degree}"
             )
+        den = lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = coeffs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient vector, length = field degree, as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
 
     def _check_field(self, other: "CycElem"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("cyclotomic field mismatch")
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     # --- arithmetic -----------------------------------------------------------
 
@@ -181,10 +308,16 @@ class CycElem:
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_field(other)
-        return CycElem(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.field, list(map(add, self.nums, other.nums)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        nums = [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
+        return _normal(self.field, nums, da * fa)
 
     def __neg__(self):
-        return CycElem(self.field, tuple(-a for a in self.coeffs))
+        return _elem(self.field, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CycElem):
@@ -195,31 +328,46 @@ class CycElem:
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_field(other)
-        product = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return self.field.element(product)
+        field = self.field
+        a, b = self.nums, other.nums
+        if not (any(a) and any(b)):
+            return field.zero()
+        level = field._level
+        k = _lone(b)
+        if k >= 0:
+            nums = [c * b[k] for c in level.shift(a, k)]
+        else:
+            k = _lone(a)
+            if k >= 0:
+                nums = [c * a[k] for c in level.shift(b, k)]
+            else:
+                nums = level.mul(a, b)
+        return _normal(field, nums, self.den * other.den)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            return self.inv() ** (-exponent)
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return power(self.inv(), -exponent, self.field.one())
+        return power(self, exponent, self.field.one())
+
+    def times_zeta(self, k: int) -> "CycElem":
+        """self * zeta**k, by an index shift."""
+        if k % self.field.m == 0:
+            return self
+        return _elem(self.field, self.field._level.shift(self.nums, k), self.den)
+
+    def conjugate(self, k: int) -> "CycElem":
+        """The image under the automorphism zeta -> zeta**k, k prime to p."""
+        field = self.field
+        if field.m > 1 and k % field.p == 0:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism: {k} is divisible by {field.p}")
+        return _elem(field, field._level.conjugate(self.nums, k % field.m), self.den)
 
     def inv(self) -> "CycElem":
-        """Inverse via the extended Euclidean algorithm against the modulus."""
+        """Inverse by relative norms down the tower (module docstring)."""
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
-        g, s, _ = _poly_xgcd(_trim(list(self.coeffs)), list(self.field.modulus))
-        if len(g) != 1:
-            # the modulus is irreducible over Q, so the gcd must be 1
-            raise ArithmeticError("nontrivial gcd with the cyclotomic modulus")
-        return self.field.element(s)
+        nums, den = self.field._level.inverse(list(self.nums))
+        return _normal(self.field, [n * self.den for n in nums], den)
 
     def order(self):
         """Least k <= m with self**k == 1, or None if the search exceeds m."""
@@ -238,12 +386,13 @@ class CycElem:
     def __eq__(self, other):
         return (
             isinstance(other, CycElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and (self.field is other.field or self.field == other.field)
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.nums, self.den))
 
     def __str__(self):
         parts = []
@@ -284,9 +433,9 @@ def tower_check(p: int, t: int) -> bool:
         return False
     lower = CycField(p, t)
     total = upper.zero()
-    power = upper.one()
+    term = upper.one()
     for c in lower.modulus:
         if c:
-            total = total + power * upper.rational(c)
-        power = power * image
+            total = total + term * upper.rational(c)
+        term = term * image
     return total.is_zero()

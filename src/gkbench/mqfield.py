@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .ringops import power
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (basis primes are small)."""
@@ -202,15 +204,7 @@ class MQElem:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = self.basis.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, self.basis.one())
 
     def inv(self) -> "MQElem":
         """Multiplicative inverse by recursive conjugation.

@@ -23,6 +23,7 @@ from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
 from .twistring import TwistedElem
 from .qaffine import FreeWord, QAlgebra, QPoly
+from .ringops import power
 
 CONTEXTS = ("field", "group", "twisted", "quantum")
 
@@ -366,10 +367,7 @@ def _twisted_pow(value: TwistedElem, exponent: int) -> TwistedElem:
     if exponent < 0:
         value = _twisted_invert(value)
         exponent = -exponent
-    out = TwistedElem.one(value.basis)
-    for _ in range(exponent):
-        out = out * value
-    return out
+    return power(value, exponent, TwistedElem.one(value.basis))
 
 
 def _twisted_invert(value: TwistedElem) -> TwistedElem:

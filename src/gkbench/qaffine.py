@@ -3,7 +3,9 @@ x_i x_j = q x_j x_i for i < j, with q the field's distinguished root of
 unity.  Words in the free generators reduce to a scalar multiple of the
 unique sorted monomial (every adjacent swap that moves a higher index left
 past a lower one costs a factor q**-1), and polynomials are canonical maps
-{exponent vector: nonzero scalar}.
+{exponent vector: nonzero scalar}.  Products skip the rewriting: sorting
+x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is that power of
+q**-1 times x^(e+f); the rewriting stays as the oracle.
 
 The module also hosts the two structural checks the construction is used
 for: centrality of prime-power powers of the generators, and whether a
@@ -15,10 +17,11 @@ embedded into the destination field).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycElem, CycField
+from .ringops import power
 from . import budget
 
 
@@ -109,44 +112,48 @@ class FreeWord:
 
 
 def normal_form(word: FreeWord) -> "QPoly":
-    """Reduce a word to its canonical single-term polynomial by bubble sort:
-    each adjacent swap x_j x_i -> x_i x_j with j > i multiplies the scalar
-    by q**-1."""
-    alg = word.algebra
-    idx = list(word.indices)
-    scalar = word.scalar
-    budget.charge(max(1, len(idx) ** 2))
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(idx) - 1):
-            if idx[k] > idx[k + 1]:
-                idx[k], idx[k + 1] = idx[k + 1], idx[k]
-                scalar = scalar * alg.q_inv
-                changed = True
-    exps = [0] * alg.n
-    for i in idx:
-        exps[i - 1] += 1
-    return QPoly(alg, {tuple(exps): scalar})
+    """Reduce a word to its canonical single-term polynomial by adjacent
+    swaps: each swap x_j x_i -> x_i x_j with j > i multiplies the scalar by
+    q**-1.  Inversions are resolved leftmost first."""
+    budget.charge(max(1, len(word.indices) ** 2))
+    return _rewrite(word, _leftmost_inversion)
 
 
 def normal_form_random(word: FreeWord, rng) -> "QPoly":
     """Same reduction, but resolving the inversions in an rng-chosen order;
     the result must not depend on the order (confluence)."""
+
+    def pick(idx, start):
+        spots = [k for k in range(len(idx) - 1) if idx[k] > idx[k + 1]]
+        return rng.choice(spots) if spots else -1
+
+    return _rewrite(word, pick)
+
+
+def _leftmost_inversion(idx, start):
+    # a swap at k can only create a new inversion at k - 1, so the scan
+    # resumes there
+    for k in range(max(0, start - 1), len(idx) - 1):
+        if idx[k] > idx[k + 1]:
+            return k
+    return -1
+
+
+def _rewrite(word: FreeWord, pick) -> "QPoly":
+    """The rewriting loop: swap the adjacent inversion pick(idx, last) names
+    until there is none, then apply q**-swaps to the scalar once."""
     alg = word.algebra
     idx = list(word.indices)
-    scalar = word.scalar
-    while True:
-        spots = [k for k in range(len(idx) - 1) if idx[k] > idx[k + 1]]
-        if not spots:
-            break
-        k = rng.choice(spots)
+    swaps = 0
+    k = pick(idx, 0)
+    while k >= 0:
         idx[k], idx[k + 1] = idx[k + 1], idx[k]
-        scalar = scalar * alg.q_inv
+        swaps += 1
+        k = pick(idx, k)
     exps = [0] * alg.n
     for i in idx:
         exps[i - 1] += 1
-    return QPoly(alg, {tuple(exps): scalar})
+    return QPoly._make(alg, {tuple(exps): word.scalar.times_zeta(-swaps)})
 
 
 class QPoly:
@@ -171,6 +178,14 @@ class QPoly:
         self.algebra = algebra
         self.terms = clean
 
+    @classmethod
+    def _make(cls, algebra: QAlgebra, terms: dict) -> "QPoly":
+        """Trusted constructor: well-formed terms, zero coefficients dropped."""
+        poly = object.__new__(cls)
+        poly.algebra = algebra
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
     def _check_algebra(self, other: "QPoly"):
         if self.algebra != other.algebra:
             raise ValueError("algebra mismatch")
@@ -191,10 +206,10 @@ class QPoly:
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
             out[exps] = coeff if acc is None else acc + coeff
-        return QPoly(self.algebra, out)
+        return QPoly._make(self.algebra, out)
 
     def __neg__(self):
-        return QPoly(self.algebra, {e: -c for e, c in self.terms.items()})
+        return QPoly._make(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QPoly):
@@ -204,31 +219,31 @@ class QPoly:
     def scale(self, value: CycElem) -> "QPoly":
         if value.field != self.algebra.field:
             raise ValueError("scalar outside the algebra's field")
-        return QPoly(self.algebra, {e: c * value for e, c in self.terms.items()})
+        return QPoly._make(self.algebra, {e: c * value for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_algebra(other)
-        alg = self.algebra
         budget.charge(max(1, len(self.terms) * len(other.terms)))
         out = {}
         for e, a in self.terms.items():
-            word_e = _expand(e)
             for f, b in other.terms.items():
-                single = normal_form(FreeWord(alg, word_e + _expand(f), a * b))
-                for exps, coeff in single.terms.items():
-                    acc = out.get(exps)
-                    out[exps] = coeff if acc is None else acc + coeff
-        return QPoly(alg, out)
+                # x^e * x^f = q^(-sum_{i>j} e_i f_j) * x^(e+f)
+                crossings = prefix = 0
+                for ei, fi in zip(e, f):
+                    crossings += ei * prefix
+                    prefix += fi
+                coeff = (a * b).times_zeta(-crossings)
+                exps = tuple(map(add, e, f))
+                acc = out.get(exps)
+                out[exps] = coeff if acc is None else acc + coeff
+        return QPoly._make(self.algebra, out)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, self.algebra.one())
 
     # --- comparison / rendering ---------------------------------------------------
 
@@ -276,13 +291,6 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({self})"
-
-
-def _expand(exps: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for i, e in enumerate(exps, start=1):
-        out.extend([i] * e)
-    return tuple(out)
 
 
 # --- dimension counting -------------------------------------------------------
@@ -336,8 +344,9 @@ def central_power_check(algebra: QAlgebra, i: int) -> bool:
 # --- homomorphism checking -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomCheckReport:
+class HomCheckReport(NamedTuple):
+    # a NamedTuple rather than a dataclass: importing dataclasses pulls in
+    # inspect and ast, most of this module's import memory
     ok: bool
     failing_pair: Optional[tuple[int, int]]
     defect: Optional[QPoly]

@@ -1,0 +1,58 @@
+"""The package namespace: every public name resolves, and importing the
+package loads a submodule only when one of its names is used."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gkbench
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_every_public_name_resolves_to_its_submodule():
+    for name in gkbench.__all__:
+        module = importlib.import_module(f"gkbench.{gkbench._HOME[name]}")
+        assert getattr(gkbench, name) is getattr(module, name)
+    assert set(gkbench.__all__) <= set(dir(gkbench))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from gkbench import *", namespace)
+    assert set(gkbench.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        gkbench.no_such_name
+    with pytest.raises(ImportError):
+        exec("from gkbench import no_such_name", {})
+
+
+def test_import_loads_submodules_on_use():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, gkbench\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('gkbench.'))\n"
+        "print(loaded())\n"
+        "gkbench.CycField(2, 1)\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = proc.stdout.splitlines()
+    assert first == "[]"
+    assert "gkbench.cyclo" in second and "gkbench.campaigns" not in second
+
+
+def test_names_follow_rebinding_in_the_submodule(monkeypatch):
+    from gkbench import qaffine
+
+    sentinel = object()
+    monkeypatch.setattr(qaffine, "normal_form", sentinel)
+    assert gkbench.normal_form is sentinel

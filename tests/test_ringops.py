@@ -1,0 +1,54 @@
+"""The shared pow-by-squaring helper and the powers built on it."""
+
+from fractions import Fraction
+
+import pytest
+
+from gkbench.mqfield import PrimeBasis
+from gkbench.parser import parse, to_twisted
+from gkbench.ringops import power
+
+
+def test_power_helper():
+    assert power(3, 0, 1) == 1
+    assert power(Fraction(2, 3), 5, 1) == Fraction(32, 243)
+    assert all(power(7, e, 1) == 7**e for e in range(40))
+    with pytest.raises(ValueError):
+        power(2, -1, 1)
+
+
+def test_noncommutative_power_keeps_factor_order():
+    # 2x2 integer matrices as nested tuples: a noncommutative ring
+    def mat_mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    class M:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __mul__(self, other):
+            return M(mat_mul(self.rows, other.rows))
+
+    base = M(((1, 2), (3, 5)))
+    acc = M(((1, 0), (0, 1)))
+    for e in range(12):
+        assert power(base, e, M(((1, 0), (0, 1)))).rows == acc.rows
+        acc = acc * base
+
+
+def test_twisted_power_matches_repeated_products():
+    basis = PrimeBasis.first(3)
+    for text in ("x1*s1 + s2", "x1^-1*s1*s3 + 2*x2", "1/2*s1*s2"):
+        for e in (0, 1, 2, 5, -3):
+            if e < 0 and "+" in text:
+                continue  # only single terms invert
+            lhs = to_twisted(parse(f"({text})^{e}", "twisted"), basis)
+            if e >= 0:
+                factors = "*".join([f"({text})"] * e) or "e"
+            else:
+                factors = "*".join([f"({text})^-1"] * -e)
+            rhs = to_twisted(parse(factors, "twisted"), basis)
+            assert lhs == rhs, (text, e)
