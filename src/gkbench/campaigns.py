@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import comb, factorial
+from math import factorial
 
 from .cyclo import CycField, tower_check
 from .gammalab import (
@@ -25,6 +25,7 @@ from .qaffine import (
     QAlgebra,
     central_power_check,
     dim_Vr,
+    dim_Vr_oracle,
     gk_profile,
     hom_check,
     normal_form,
@@ -58,6 +59,43 @@ _SUBSPACE_NOTE = (
     "degree measured on the span of 1 and the generators; a single "
     "generating subspace suffices for these finitely generated algebras"
 )
+
+
+def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: int) -> Record:
+    """The record claiming that `series` grows with degree `expected`."""
+    t0 = time.perf_counter()
+    est = degree_estimate(series)
+    return _mk(
+        claim_id,
+        inputs,
+        {
+            "degree": est.label,
+            "raw": round(est.raw, 4),
+            "expected": expected,
+            "note": _SUBSPACE_NOTE,
+        },
+        est.snapped == expected and not est.unbounded,
+        t0,
+    )
+
+
+def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slope: int):
+    """(fit, records): the records claiming that `series` is eventually
+    slope * r + offset and that its degree is 1, under the two claim ids."""
+    t0 = time.perf_counter()
+    fit = slope_extract(series)
+    record = _mk(
+        ids[0],
+        inputs,
+        {
+            "slope": fit.slope if fit else "nonlinear",
+            "offset": fit.offset if fit else None,
+            "expected_slope": slope,
+        },
+        fit is not None and fit.slope == slope,
+        t0,
+    )
+    return fit, [record, degree_claim(ids[1], inputs, series, 1)]
 
 
 # --- gamma -----------------------------------------------------------------
@@ -130,37 +168,11 @@ def _campaign_step8(params, rng):
     rmax = int(params.get("rmax", 2 * n + 12))
     r_lo = max(1, 2 * n)
     series = GrowthSeries(rn_dim_series(n, rmax, r_lo))
-    records = []
-    t0 = time.perf_counter()
-    fit = slope_extract(series)
-    records.append(
-        _mk(
-            f"step8.slope.n{n:02d}",
-            {"pairs": n, "r": f"{r_lo}..{rmax}"},
-            {
-                "slope": fit.slope if fit else "nonlinear",
-                "offset": fit.offset if fit else None,
-                "expected_slope": 4**n,
-            },
-            fit is not None and fit.slope == 4**n,
-            t0,
-        )
-    )
-    t0 = time.perf_counter()
-    est = degree_estimate(series)
-    records.append(
-        _mk(
-            f"step8.degree.n{n:02d}",
-            {"pairs": n, "r": f"{r_lo}..{rmax}"},
-            {
-                "degree": est.label,
-                "raw": round(est.raw, 4),
-                "expected": 1,
-                "note": _SUBSPACE_NOTE,
-            },
-            est.snapped == 1 and not est.unbounded,
-            t0,
-        )
+    fit, records = affine_claims(
+        (f"step8.slope.n{n:02d}", f"step8.degree.n{n:02d}"),
+        {"pairs": n, "r": f"{r_lo}..{rmax}"},
+        series,
+        4**n,
     )
     t0 = time.perf_counter()
     size = rn_basis_size(n)
@@ -185,35 +197,19 @@ def _campaign_lemma51(params, rng):
     t = int(params.get("t", 1))
     rmax = int(params.get("rmax", 12))
     alg = QAlgebra(n, CycField(p, t))
-    records = []
     t0 = time.perf_counter()
-    mismatches = [r for r in range(rmax + 1) if dim_Vr(alg, r) != comb(n + r, r)]
-    records.append(
+    mismatches = [r for r in range(rmax + 1) if dim_Vr(alg, r) != dim_Vr_oracle(alg, r)]
+    inputs = {"n": n, "p": p, "t": t, "rmax": rmax}
+    return [
         _mk(
             "lemma5.1.dim_formula",
-            {"n": n, "p": p, "t": t, "rmax": rmax},
+            inputs,
             {"checked": rmax + 1, "mismatches": mismatches},
             not mismatches,
             t0,
-        )
-    )
-    t0 = time.perf_counter()
-    est = degree_estimate(GrowthSeries(gk_profile(alg, rmax)))
-    records.append(
-        _mk(
-            "lemma5.1.growth",
-            {"n": n, "p": p, "t": t, "rmax": rmax},
-            {
-                "degree": est.label,
-                "raw": round(est.raw, 4),
-                "expected": n,
-                "note": _SUBSPACE_NOTE,
-            },
-            est.snapped == n and not est.unbounded,
-            t0,
-        )
-    )
-    return records
+        ),
+        degree_claim("lemma5.1.growth", inputs, GrowthSeries(gk_profile(alg, rmax)), n),
+    ]
 
 
 _CENTRALITY_GRID = ((2, 1), (2, 2), (3, 1))

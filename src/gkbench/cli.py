@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import budget
-from .campaigns import campaign_names, run_campaign
+from .campaigns import affine_claims, campaign_names, degree_claim, run_campaign
 from .cyclo import CycField
 from .gammalab import (
     gamma_coeff,
@@ -94,33 +94,11 @@ def _cmd_gamma_growth(args):
     pairs = rn_dim_series(n, rmax, max(1, 2 * n))
     if args.series_out:
         _write_series(args.series_out, pairs)
-    series = GrowthSeries(pairs)
-    records = []
-    t0 = time.perf_counter()
-    fit = slope_extract(series)
-    records.append(
-        timed_record(
-            "gamma.growth.slope",
-            {"pairs": n, "rmax": rmax},
-            {
-                "slope": fit.slope if fit else "nonlinear",
-                "offset": fit.offset if fit else None,
-                "expected_slope": rn_basis_size(n),
-            },
-            fit is not None and fit.slope == rn_basis_size(n),
-            t0,
-        )
-    )
-    t0 = time.perf_counter()
-    est = degree_estimate(series)
-    records.append(
-        timed_record(
-            "gamma.growth.degree",
-            {"pairs": n, "rmax": rmax},
-            {"degree": est.label, "raw": round(est.raw, 4), "expected": 1},
-            est.snapped == 1 and not est.unbounded,
-            t0,
-        )
+    _, records = affine_claims(
+        ("gamma.growth.slope", "gamma.growth.degree"),
+        {"pairs": n, "rmax": rmax},
+        GrowthSeries(pairs),
+        rn_basis_size(n),
     )
     return records
 
@@ -166,15 +144,12 @@ def _cmd_quantum_growth(args):
     pairs = gk_profile(alg, rmax)
     if args.series_out:
         _write_series(args.series_out, pairs)
-    t0 = time.perf_counter()
-    est = degree_estimate(GrowthSeries(pairs))
     return [
-        timed_record(
+        degree_claim(
             "quantum.growth.degree",
             {"n": args.n, "p": args.p, "t": args.t, "rmax": rmax},
-            {"degree": est.label, "raw": round(est.raw, 4), "expected": args.n},
-            est.snapped == args.n and not est.unbounded,
-            t0,
+            GrowthSeries(pairs),
+            args.n,
         )
     ]
 

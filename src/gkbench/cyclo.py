@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .mqfield import is_prime
-from .ringops import power
+from .ringops import power, render_terms
 
 
 # --- dense polynomial helpers over Fraction (little-endian coefficient lists)
@@ -363,22 +363,42 @@ class CycElem:
         return _elem(field, field._level.conjugate(self.nums, k % field.m), self.den)
 
     def inv(self) -> "CycElem":
-        """Inverse by relative norms down the tower (module docstring)."""
+        """Inverse: (1/c) zeta**-k for a monomial c zeta**k, otherwise by
+        relative norms down the tower (module docstring)."""
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
-        nums, den = self.field._level.inverse(list(self.nums))
-        return _normal(self.field, [n * self.den for n in nums], den)
+        field = self.field
+        k = _lone(self.nums)
+        if k >= 0:
+            c = self.nums[k]
+            unit = [self.den if c > 0 else -self.den] + [0] * (field.degree - 1)
+            return _normal(field, field._level.shift(unit, -k), abs(c))
+        nums, den = field._level.inverse(list(self.nums))
+        return _normal(field, [n * self.den for n in nums], den)
 
     def order(self):
-        """Least k <= m with self**k == 1, or None if the search exceeds m."""
+        """Least k <= m with self**k == 1, or None if there is none.
+
+        The roots of unity in Q(zeta) are the +-zeta**k, so a finite order
+        divides 2m = 2p**(2t), and the first of the powers self**(p**j),
+        j = 0..2t, that is +-1 gives it: p**j for 1, 2p**j for -1.  A root
+        of unity has integer coefficients in {-1, 0, 1} in the power basis,
+        so a power outside that set ends the search.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no multiplicative order")
-        one = self.field.one()
-        acc = self
-        for k in range(1, self.field.m + 1):
+        field = self.field
+        one = field.one()
+        acc, pj = self, 1  # acc = self**pj, pj = p**j
+        while pj <= field.m:
+            if acc.den != 1 or any(c * c > 1 for c in acc.nums):
+                return None
             if acc == one:
-                return k
-            acc = acc * self
+                return pj
+            if acc == -one:
+                return 2 * pj if 2 * pj <= field.m else None
+            acc = acc**field.p
+            pj *= field.p
         return None
 
     # --- comparison / rendering -------------------------------------------------
@@ -395,25 +415,11 @@ class CycElem:
         return hash((self.field, self.nums, self.den))
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                body = z if mag == 1 else f"{mag}*{z}"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_terms(
+            (str(c), "" if k == 0 else "z" if k == 1 else f"z^{k}")
+            for k, c in enumerate(self.coeffs)
+            if c
+        )
 
     def __repr__(self):
         return f"CycElem({self})"

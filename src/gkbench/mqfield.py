@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ringops import power
+from .ringops import power, render_terms
 
 
 def is_prime(n: int) -> bool:
@@ -265,26 +265,10 @@ class MQElem:
         return hash((self.basis, self._key()))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for subset in sorted(self.coeffs, key=lambda s: tuple(sorted(s))):
-            value = self.coeffs[subset]
-            sign = "-" if value < 0 else "+"
-            mag = abs(value)
-            factors = [f"s{i}" for i in sorted(subset)]
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render_terms(
+            (str(self.coeffs[subset]), "*".join(f"s{i}" for i in sorted(subset)))
+            for subset in sorted(self.coeffs, key=lambda s: tuple(sorted(s)))
+        )
 
     def __repr__(self):
         return f"MQElem({self})"

@@ -27,6 +27,11 @@ from .ringops import power
 
 CONTEXTS = ("field", "group", "twisted", "quantum")
 
+# Each parenthesis costs four frames of recursive descent; past this many
+# open ones the parser stops with a ParseError instead of exhausting the
+# interpreter's recursion limit.
+MAX_NESTING = 200
+
 _ALLOWED_SYMBOLS = {
     "field": {"radical"},
     "group": {"xgen", "identity"},
@@ -133,6 +138,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.depth = 0  # parentheses currently open
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -209,9 +215,13 @@ class _Parser:
     def atom(self):
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
             self.advance()
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "INT":
             self.advance()

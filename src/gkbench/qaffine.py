@@ -5,7 +5,10 @@ unique sorted monomial (every adjacent swap that moves a higher index left
 past a lower one costs a factor q**-1), and polynomials are canonical maps
 {exponent vector: nonzero scalar}.  Products skip the rewriting: sorting
 x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is that power of
-q**-1 times x^(e+f); the rewriting stays as the oracle.
+q**-1 times x^(e+f); the rewriting stays as the oracle.  Likewise the
+dimension count dim V^r is the closed form C(n+r, r), charging the work
+budget for the monomials it counts, and the listing survives as
+`dim_Vr_oracle`.
 
 The module also hosts the two structural checks the construction is used
 for: centrality of prime-power powers of the generators, and whether a
@@ -17,11 +20,12 @@ embedded into the destination field).
 from __future__ import annotations
 
 import itertools
+from math import comb
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycElem, CycField
-from .ringops import power
+from .ringops import power, render_terms
 from . import budget
 
 
@@ -255,39 +259,17 @@ class QPoly:
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, reverse=True):  # x1-leading terms first
-            coeff = self.terms[exps]
-            text = str(coeff)
-            multi = (" + " in text) or (" - " in text)
-            word = "*".join(
-                (f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-                for i, e in enumerate(exps)
-                if e
+        return render_terms(
+            (
+                str(self.terms[exps]),
+                "*".join(
+                    f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                    for i, e in enumerate(exps)
+                    if e
+                ),
             )
-            if not word:
-                body = f"({text})" if multi else text
-                sign = "+"
-                if not multi and body.startswith("-"):
-                    sign, body = "-", body[1:]
-            elif multi:
-                sign, body = "+", f"({text})*{word}"
-            elif text == "1":
-                sign, body = "+", word
-            elif text == "-1":
-                sign, body = "-", word
-            elif text.startswith("-"):
-                sign, body = "-", f"{text[1:]}*{word}"
-            else:
-                sign, body = "+", f"{text}*{word}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            for exps in sorted(self.terms, reverse=True)  # x1-leading terms first
+        )
 
     def __repr__(self):
         return f"QPoly({self})"
@@ -297,7 +279,17 @@ class QPoly:
 
 
 def dim_Vr(algebra: QAlgebra, r: int) -> int:
-    """Number of sorted monomials of length at most r, by listing them."""
+    """Number of sorted monomials of length at most r: C(n+r, r).  The
+    budget is charged once for all of them."""
+    if r < 0:
+        raise ValueError("degree bound must be nonnegative")
+    count = comb(algebra.n + r, r)
+    budget.charge(count)
+    return count
+
+
+def dim_Vr_oracle(algebra: QAlgebra, r: int) -> int:
+    """The same number by listing the monomials, length by length."""
     if r < 0:
         raise ValueError("degree bound must be nonnegative")
     count = 0
@@ -305,7 +297,7 @@ def dim_Vr(algebra: QAlgebra, r: int) -> int:
         chunk = 0
         for _ in itertools.combinations_with_replacement(range(algebra.n), s):
             chunk += 1
-        budget.charge(max(1, chunk))
+        budget.charge(chunk)
         count += chunk
     return count
 

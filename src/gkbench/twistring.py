@@ -16,6 +16,7 @@ from functools import cmp_to_key
 
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
+from .ringops import render_terms
 from . import budget
 
 _group_sort_key = cmp_to_key(lambda a, b: a.compare(b))
@@ -162,36 +163,10 @@ class TwistedElem:
         return hash((self.basis, items))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for g in sorted(self.terms, key=_group_sort_key):
-            coeff = self.terms[g]
-            text = str(coeff)
-            multi = (" + " in text) or (" - " in text)
-            if g.is_identity():
-                body = f"({text})" if multi else text
-                sign = "+"
-                if not multi and body.startswith("-"):
-                    sign, body = "-", body[1:]
-            else:
-                if multi:
-                    body = f"({text})*{g}"
-                    sign = "+"
-                elif text == "1":
-                    body, sign = str(g), "+"
-                elif text == "-1":
-                    body, sign = str(g), "-"
-                elif text.startswith("-"):
-                    body, sign = f"{text[1:]}*{g}", "-"
-                else:
-                    body, sign = f"{text}*{g}", "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_terms(
+            (str(self.terms[g]), "" if g.is_identity() else str(g))
+            for g in sorted(self.terms, key=_group_sort_key)
+        )
 
     def __repr__(self):
         return f"TwistedElem({self})"

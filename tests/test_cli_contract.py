@@ -34,3 +34,16 @@ def test_malformed_max_ops_is_a_value_error_in_the_library(monkeypatch):
         budget._cap_from_env()
     monkeypatch.setenv("WORKBENCH_MAX_OPS", "250")
     assert budget._cap_from_env() == 250
+
+
+def test_deep_nesting_exits_2_with_one_line():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    expr = "(" * 3000 + "1" + ")" * 3000
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkbench.cli", "eval", "--context", "field", expr],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: 1:201: parentheses nested deeper than 200 levels"]

@@ -245,3 +245,49 @@ def test_qpoly_power_matches_repeated_products():
         assert base**k == acc
         acc = acc * base
 
+
+
+# --- inverses of monomials and multiplicative orders -------------------------------------
+
+
+def linear_order(a):
+    """Oracle: the least k <= m with a**k == 1 by repeated products, else None."""
+    one, acc = a.field.one(), a
+    for k in range(1, a.field.m + 1):
+        if acc == one:
+            return k
+        acc = acc * a
+    return None
+
+
+ORDER_LEVELS = ((2, 0), (3, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
+
+
+@pytest.mark.parametrize("level", ORDER_LEVELS)
+def test_order_matches_linear_search(level):
+    field = CycField(*level)
+    one, zeta = field.one(), field.zeta
+    values = [sign * zeta**k for k in range(field.m) for sign in (one, -one)]
+    values += [field.rational(2), field.rational(Fraction(-1, 2)) * zeta]
+    values += [v for v in (one + zeta, zeta - zeta**3) if v]
+    for a in values:
+        assert a.order() == linear_order(a), (level, str(a))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_monomial_inverse_matches_tower_route(level):
+    field = FIELDS[level]
+    for k in range(field.m):
+        for c in (1, -1, Fraction(3, 2), Fraction(-2, 5)):
+            a = field.rational(c) * field.zeta**k
+            nums, den = field._level.inverse(list(a.nums))
+            tower = field.element([Fraction(n * a.den, den) for n in nums])
+            assert a.inv() == tower
+            assert a * a.inv() == field.one()
+
+
+def test_high_level_algebras_build():
+    for p, t in ((2, 7), (3, 4)):
+        alg = QAlgebra(2, CycField(p, t))
+        assert alg.q.order() == alg.field.m
+        assert alg.q * alg.q_inv == alg.field.one()

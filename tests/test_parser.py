@@ -170,3 +170,19 @@ def test_quantum_round_trip_randomized():
     for _ in range(150):
         value = random_qpoly(rng, ALG, max_terms=4)
         assert to_quantum(parse(str(value), "quantum"), ALG) == value
+
+
+# --- nesting depth ------------------------------------------------------------------
+
+
+def test_nesting_at_the_cap_parses():
+    text = "(" * 200 + "s1 - 1/2" + ")" * 200
+    assert to_field(parse(text, "field"), BASIS) == to_field(parse("s1 - 1/2", "field"), BASIS)
+
+
+def test_nesting_past_the_cap_is_a_positioned_parse_error():
+    for depth in (201, 3000):
+        with pytest.raises(ParseError) as info:
+            parse("(" * depth + "1" + ")" * depth, "field")
+        assert (info.value.line, info.value.column) == (1, 201)
+        assert "nested deeper than 200" in str(info.value)

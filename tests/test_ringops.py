@@ -6,7 +6,7 @@ import pytest
 
 from gkbench.mqfield import PrimeBasis
 from gkbench.parser import parse, to_twisted
-from gkbench.ringops import power
+from gkbench.ringops import power, render_terms
 
 
 def test_power_helper():
@@ -52,3 +52,12 @@ def test_twisted_power_matches_repeated_products():
                 factors = "*".join([f"({text})^-1"] * -e)
             rhs = to_twisted(parse(factors, "twisted"), basis)
             assert lhs == rhs, (text, e)
+
+
+def test_render_terms():
+    assert render_terms([]) == "0"
+    assert render_terms([("1", "")]) == "1"
+    assert render_terms([("-3/2", ""), ("1", "x1"), ("-1", "x2")]) == "-3/2 + x1 - x2"
+    assert render_terms([("-2", "s1*s2"), ("5", "x1^2")]) == "-2*s1*s2 + 5*x1^2"
+    # a coefficient that is itself a sum is parenthesized and added
+    assert render_terms([("-1 + z", "x1"), ("z - z^3", "")]) == "(-1 + z)*x1 + (z - z^3)"
