@@ -323,30 +323,29 @@ def _campaign_step3(params, rng):
     ]
 
 
+def _trials(claim_id: str, trials: int, check) -> Record:
+    """One record counting how many of `trials` calls of check() hold."""
+    t0 = time.perf_counter()
+    good = sum(1 for _ in range(trials) if check())
+    return _mk(claim_id, {"trials": trials}, {"passed": good}, good == trials, t0)
+
+
 def _campaign_ring_axioms(params, rng):
     trials = int(params.get("trials", 1000))
     basis = PrimeBasis.first(4)
-    records = []
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def associativity():
         a, b, c = (random_twisted(rng, basis) for _ in range(3))
-        if (a * b) * c == a * (b * c):
-            good += 1
-    records.append(
-        _mk("ring.associativity", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return (a * b) * c == a * (b * c)
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def distributivity():
         a, b, c = (random_twisted(rng, basis) for _ in range(3))
-        if a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c:
-            good += 1
-    records.append(
-        _mk("ring.distributivity", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+
+    records = [
+        _trials("ring.associativity", trials, associativity),
+        _trials("ring.distributivity", trials, distributivity),
+    ]
 
     t0 = time.perf_counter()
     ok = True
@@ -400,76 +399,46 @@ def _campaign_ring_axioms(params, rng):
 def _campaign_field_axioms(params, rng):
     trials = int(params.get("trials", 1000))
     basis = PrimeBasis.first(5)
-    records = []
+    one = basis.one()
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
-        a = random_mq(rng, basis)
-        b = random_mq(rng, basis)
+    def automorphism():
+        a, b = random_mq(rng, basis), random_mq(rng, basis)
         i = rng.randint(1, 5)
-        if (a * b).apply_f(i) == a.apply_f(i) * b.apply_f(i):
-            good += 1
-    records.append(
-        _mk("field.automorphism", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return (a * b).apply_f(i) == a.apply_f(i) * b.apply_f(i)
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def commuting():
         a = random_mq(rng, basis)
         i, j = rng.randint(1, 5), rng.randint(1, 5)
-        if a.apply_f(i).apply_f(j) == a.apply_f(j).apply_f(i):
-            good += 1
-    records.append(
-        _mk("field.commuting", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return a.apply_f(i).apply_f(j) == a.apply_f(j).apply_f(i)
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def involution():
         a = random_mq(rng, basis)
         i = rng.randint(1, 5)
-        if a.apply_f(i).apply_f(i) == a:
-            good += 1
-    records.append(
-        _mk("field.involution", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return a.apply_f(i).apply_f(i) == a
 
-    t0 = time.perf_counter()
-    good = 0
-    one = basis.one()
-    for _ in range(trials):
+    def inverse():
         a = random_mq(rng, basis, nonzero=True)
-        if a * a.inv() == one and a.inv() * a == one:
-            good += 1
-    records.append(
-        _mk("field.inverse", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return a * a.inv() == one and a.inv() * a == one
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def fixed_field():
         if rng.random() < 0.4:
             a = basis.rational(random_fraction(rng))
         else:
             a = random_mq(rng, basis)
-        if a.fixed_by_all() == a.is_rational():
-            good += 1
-    records.append(
-        _mk("field.fixed_field", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
+        return a.fixed_by_all() == a.is_rational()
 
-    t0 = time.perf_counter()
-    good = 0
-    for _ in range(trials):
+    def ring_axioms():
         a, b, c = (random_mq(rng, basis) for _ in range(3))
-        if a * (b + c) == a * b + a * c and (a * b) * c == a * (b * c):
-            good += 1
-    records.append(
-        _mk("field.ring_axioms", {"trials": trials}, {"passed": good}, good == trials, t0)
-    )
-    return records
+        return a * (b + c) == a * b + a * c and (a * b) * c == a * (b * c)
+
+    return [
+        _trials("field.automorphism", trials, automorphism),
+        _trials("field.commuting", trials, commuting),
+        _trials("field.involution", trials, involution),
+        _trials("field.inverse", trials, inverse),
+        _trials("field.fixed_field", trials, fixed_field),
+        _trials("field.ring_axioms", trials, ring_axioms),
+    ]
 
 
 # --- cyclotomic tower -----------------------------------------------------------

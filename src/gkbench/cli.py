@@ -364,17 +364,17 @@ def main(argv=None) -> int:
     try:
         budget.cap()  # a malformed WORKBENCH_MAX_OPS is bad input, not a crash
         records = args.handler(args)
+        text = emit(records, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except budget.WorkBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValueError, IndexError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit(records, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0 if all_passed(records) else 1
 

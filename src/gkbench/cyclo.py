@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .mqfield import is_prime
-from .ringops import power, render_terms
+from .ringops import charged_power, render_terms, words
 
 
 # --- dense polynomial helpers over Fraction (little-endian coefficient lists)
@@ -345,9 +345,10 @@ class CycElem:
         return _normal(field, nums, self.den * other.den)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return power(self.inv(), -exponent, self.field.one())
-        return power(self, exponent, self.field.one())
+        return charged_power(self, exponent, self.field.one())
+
+    def _words(self) -> int:
+        return sum(words(n) for n in self.nums if n) + words(self.den)
 
     def times_zeta(self, k: int) -> "CycElem":
         """self * zeta**k, by an index shift."""

@@ -17,8 +17,8 @@ replaced did; the test suite keeps that listing as its oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .ordgroup import GroupElem
 from . import budget
@@ -86,8 +86,7 @@ def gamma_coeff_oracle(power: int, target: GroupElem) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class IndependenceWitness:
+class IndependenceWitness(NamedTuple):
     """Triangularity witness for the powers of gamma up to a degree.
 
     matrix[n][k] is the coefficient of x1^-1 * ... * xn^-1 (the identity for

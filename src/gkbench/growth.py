@@ -14,8 +14,7 @@ keeps increasing across three tail windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 SNAP_TOLERANCE = 0.1
 MIN_POINTS = 6
@@ -80,8 +79,7 @@ class GrowthSeries:
         return f"GrowthSeries({list(self.points)!r})"
 
 
-@dataclass(frozen=True)
-class DegreeEstimate:
+class DegreeEstimate(NamedTuple):
     """Outcome of the degree estimator.
 
     raw is the tail-half log-log least-squares slope; snapped is the integer
@@ -106,8 +104,7 @@ class DegreeEstimate:
         return str(self.snapped)
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     slope: int
     offset: int
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ringops import power, render_terms
+from .ringops import charged_power, render_terms, words
 
 
 def is_prime(n: int) -> bool:
@@ -202,9 +202,12 @@ class MQElem:
         return MQElem(self.basis, out)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return power(self, exponent, self.basis.one())
+        return charged_power(self, exponent, self.basis.one())
+
+    def _words(self) -> int:
+        return sum(
+            words(v.numerator) + words(v.denominator) for v in self.coeffs.values()
+        )
 
     def inv(self) -> "MQElem":
         """Multiplicative inverse by recursive conjugation.

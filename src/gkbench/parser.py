@@ -9,21 +9,25 @@ Identifiers: s<k> radical generators, x<k> group/quantum generators, e the
 group identity, z the root of unity, g the gamma series symbol.  g is
 recognized by the grammar but has no finite representation, so every
 evaluation context rejects it.  Parsing is context-gated (field, group,
-twisted, quantum) so that diagnostics carry the offending position, and the
-evaluators below turn accepted trees into the matching algebraic values.
+twisted, quantum) so that diagnostics carry the offending position.
+
+One fold, `_evaluate`, turns an accepted tree into a value in every context:
+powers, products and sums go to the value type's own operators, so each type
+decides what a negative power means and charges the work budget for powers,
+and a per-context leaf function maps literals and symbols.  `to_field`,
+`to_group`, `to_twisted` and `to_quantum` are those contexts; `to_free_word`
+reads a single product as an unreduced quantum word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
 from .twistring import TwistedElem
 from .qaffine import FreeWord, QAlgebra, QPoly
-from .ringops import power
 
 CONTEXTS = ("field", "group", "twisted", "quantum")
 
@@ -52,38 +56,32 @@ class ParseError(ValueError):
 # --- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     kind: str  # "radical" | "xgen" | "cyclo" | "identity" | "gamma"
     index: Optional[int]
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     terms: tuple  # of (sign, node), sign in {1, -1}
 
 
 # --- tokenizer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -306,131 +304,81 @@ def max_symbol_index(node, kind: str) -> int:
 # --- evaluators -------------------------------------------------------------------------
 
 
-def to_field(node, basis: PrimeBasis) -> MQElem:
-    if isinstance(node, Lit):
-        return basis.rational(node.value)
-    if isinstance(node, Sym):
-        if node.kind == "radical":
-            return basis.radical(node.index)
-        raise ValueError(f"symbol kind {node.kind!r} has no field value")
+def _evaluate(node, leaf):
+    """The one fold over a tree: powers, products and sums go to the value
+    type's own operators, so each type decides what a negative power means
+    and charges the budget for powers; `leaf` maps a Lit or Sym to a value
+    and raises ValueError for a kind the context lacks.  Plain loops keep it
+    at one frame per tree level, so every tree within MAX_NESTING evaluates
+    (reduce over map costs C frames too)."""
     if isinstance(node, Pow):
-        return to_field(node.base, basis) ** node.exponent
+        return _evaluate(node.base, leaf) ** node.exponent
     if isinstance(node, Mul):
-        out = basis.one()
-        for f in node.factors:
-            out = out * to_field(f, basis)
+        out = _evaluate(node.factors[0], leaf)
+        for f in node.factors[1:]:
+            out = out * _evaluate(f, leaf)  # factor order matters
         return out
     if isinstance(node, Sum):
-        out = basis.zero()
+        out = None
         for sign, t in node.terms:
-            val = to_field(t, basis)
-            out = out + (val if sign > 0 else -val)
+            value = _evaluate(t, leaf)
+            if sign < 0:
+                value = -value
+            out = value if out is None else out + value
         return out
-    raise TypeError(f"not a field expression: {node!r}")
+    return leaf(node)
+
+
+def to_field(node, basis: PrimeBasis) -> MQElem:
+    def leaf(n):
+        if isinstance(n, Lit):
+            return basis.rational(n.value)
+        if n.kind == "radical":
+            return basis.radical(n.index)
+        raise ValueError(f"symbol kind {n.kind!r} has no field value")
+
+    return _evaluate(node, leaf)
 
 
 def to_group(node) -> GroupElem:
-    if isinstance(node, Sym):
-        if node.kind == "identity":
+    def leaf(n):
+        if isinstance(n, Lit):
+            raise ValueError("rational literals have no group value")
+        if n.kind == "identity":
             return GroupElem.identity()
-        if node.kind == "xgen":
-            return GroupElem.generator(node.index)
-        raise ValueError(f"symbol kind {node.kind!r} has no group value")
-    if isinstance(node, Pow):
-        return to_group(node.base) ** node.exponent
-    if isinstance(node, Mul):
-        out = GroupElem.identity()
-        for f in node.factors:
-            out = out * to_group(f)
-        return out
-    raise TypeError(f"not a group expression: {node!r}")
+        if n.kind == "xgen":
+            return GroupElem.generator(n.index)
+        raise ValueError(f"symbol kind {n.kind!r} has no group value")
+
+    return _evaluate(node, leaf)
 
 
 def to_twisted(node, basis: PrimeBasis) -> TwistedElem:
-    if isinstance(node, Lit):
-        return TwistedElem.from_scalar(basis.rational(node.value))
-    if isinstance(node, Sym):
-        if node.kind == "radical":
-            return TwistedElem.from_scalar(basis.radical(node.index))
-        if node.kind == "identity":
+    def leaf(n):
+        if isinstance(n, Lit):
+            return TwistedElem.from_scalar(basis.rational(n.value))
+        if n.kind == "radical":
+            return TwistedElem.from_scalar(basis.radical(n.index))
+        if n.kind == "identity":
             return TwistedElem.one(basis)
-        if node.kind == "xgen":
-            return TwistedElem.from_group(basis, GroupElem.generator(node.index))
-        raise ValueError(f"symbol kind {node.kind!r} has no twisted value")
-    if isinstance(node, Pow):
-        return _twisted_pow(to_twisted(node.base, basis), node.exponent)
-    if isinstance(node, Mul):
-        out = TwistedElem.one(basis)
-        for f in node.factors:
-            out = out * to_twisted(f, basis)  # factor order matters here
-        return out
-    if isinstance(node, Sum):
-        out = TwistedElem.zero(basis)
-        for sign, t in node.terms:
-            val = to_twisted(t, basis)
-            out = out + (val if sign > 0 else -val)
-        return out
-    raise TypeError(f"not a twisted expression: {node!r}")
+        if n.kind == "xgen":
+            return TwistedElem.from_group(basis, GroupElem.generator(n.index))
+        raise ValueError(f"symbol kind {n.kind!r} has no twisted value")
 
-
-def _twisted_pow(value: TwistedElem, exponent: int) -> TwistedElem:
-    if exponent < 0:
-        value = _twisted_invert(value)
-        exponent = -exponent
-    return power(value, exponent, TwistedElem.one(value.basis))
-
-
-def _twisted_invert(value: TwistedElem) -> TwistedElem:
-    """Inverse of a single term a*x: twist_inv(x)(a^-1) * x^-1.  General
-    twisted elements would need infinite series and are rejected."""
-    if len(value.terms) != 1:
-        raise ValueError(
-            "only single-term twisted elements can be inverted; general "
-            "inverses need infinite support"
-        )
-    ((g, coeff),) = value.terms.items()
-    ginv = g.inv()
-    return TwistedElem(value.basis, {ginv: ginv.twist(coeff.inv())})
+    return _evaluate(node, leaf)
 
 
 def to_quantum(node, algebra: QAlgebra) -> QPoly:
-    if isinstance(node, Lit):
-        return algebra.scalar(algebra.field.rational(node.value))
-    if isinstance(node, Sym):
-        if node.kind == "cyclo":
+    def leaf(n):
+        if isinstance(n, Lit):
+            return algebra.scalar(algebra.field.rational(n.value))
+        if n.kind == "cyclo":
             return algebra.scalar(algebra.field.zeta)
-        if node.kind == "xgen":
-            return algebra.generator(node.index)
-        raise ValueError(f"symbol kind {node.kind!r} has no quantum value")
-    if isinstance(node, Pow):
-        base = to_quantum(node.base, algebra)
-        if node.exponent >= 0:
-            return base ** node.exponent
-        scalar = _as_scalar(base)
-        if scalar is None:
-            raise ValueError("negative powers are only defined for scalars here")
-        return algebra.scalar(scalar ** node.exponent)
-    if isinstance(node, Mul):
-        out = algebra.one()
-        for f in node.factors:
-            out = out * to_quantum(f, algebra)
-        return out
-    if isinstance(node, Sum):
-        out = algebra.zero()
-        for sign, t in node.terms:
-            val = to_quantum(t, algebra)
-            out = out + (val if sign > 0 else -val)
-        return out
-    raise TypeError(f"not a quantum expression: {node!r}")
+        if n.kind == "xgen":
+            return algebra.generator(n.index)
+        raise ValueError(f"symbol kind {n.kind!r} has no quantum value")
 
-
-def _as_scalar(poly: QPoly):
-    constant = (0,) * poly.algebra.n
-    if not poly.terms:
-        return poly.algebra.field.zero()
-    if set(poly.terms) == {constant}:
-        return poly.terms[constant]
-    return None
+    return _evaluate(node, leaf)
 
 
 def to_free_word(node, algebra: QAlgebra) -> FreeWord:
@@ -452,8 +400,7 @@ def to_free_word(node, algebra: QAlgebra) -> FreeWord:
                     raise ValueError("negative generator exponents in a word")
                 indices.extend([n.base.index] * n.exponent)
             else:
-                part = to_quantum(n, algebra)
-                value = _as_scalar(part)
+                value = to_quantum(n, algebra).as_scalar()
                 if value is None:
                     raise ValueError("not a single word: non-scalar parenthesized part")
                 scalar = scalar * value

@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycElem, CycField
-from .ringops import power, render_terms
+from .ringops import charged_power, render_terms
 from . import budget
 
 
@@ -246,8 +246,22 @@ class QPoly:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        return power(self, exponent, self.algebra.one())
+            # the only units here are the nonzero constants; their powers
+            # are the scalar's, which charges the budget
+            scalar = self.as_scalar()
+            if scalar is None:
+                raise ValueError("negative powers are only defined for scalars here")
+            return self.algebra.scalar(scalar**exponent)
+        return charged_power(self, exponent, self.algebra.one())
+
+    def as_scalar(self) -> Optional[CycElem]:
+        """The scalar of a constant polynomial (zero included), else None."""
+        if not self.terms:
+            return self.algebra.field.zero()
+        return self.terms.get((0,) * self.algebra.n) if len(self.terms) == 1 else None
+
+    def _words(self) -> int:
+        return sum(c._words() for c in self.terms.values())
 
     # --- comparison / rendering ---------------------------------------------------
 

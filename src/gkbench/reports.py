@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 REPORT_SCHEMA = 1
 
@@ -19,8 +19,7 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     claim_id: str
     inputs: dict
     outputs: dict

@@ -19,6 +19,26 @@ def power(base, exponent: int, one):
     return one if result is None else result
 
 
+def words(n: int) -> int:
+    """Size of an integer in 64-bit words, the unit powers are charged in."""
+    return n.bit_length() // 64 + 1
+
+
+def charged_power(base, exponent: int, one):
+    """base**exponent for any integer exponent, a negative one through
+    base.inv().  The budget is charged |exponent| * base._words() first: a
+    power's coefficients grow about that much, while every other operation
+    yields at most the sum of its operands' sizes."""
+    # imported here, on the first power: a module that only builds values
+    # (a PrimeBasis, say) then starts without loading the meter
+    from . import budget
+
+    budget.charge(abs(exponent) * base._words())
+    if exponent < 0:
+        base, exponent = base.inv(), -exponent
+    return power(base, exponent, one)
+
+
 def render_terms(terms) -> str:
     """A sum as text, from (coefficient text, word) pairs in display order;
     the word is '' for the constant term.

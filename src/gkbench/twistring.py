@@ -16,7 +16,7 @@ from functools import cmp_to_key
 
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
-from .ringops import render_terms
+from .ringops import charged_power, render_terms
 from . import budget
 
 _group_sort_key = cmp_to_key(lambda a, b: a.compare(b))
@@ -113,6 +113,24 @@ class TwistedElem:
                 acc = out.get(z)
                 out[z] = contrib if acc is None else acc + contrib
         return TwistedElem(self.basis, out)
+
+    def __pow__(self, exponent: int):
+        return charged_power(self, exponent, TwistedElem.one(self.basis))
+
+    def inv(self) -> "TwistedElem":
+        """Inverse of a single term a*x: twist_inv(x)(a^-1) * x^-1.  General
+        twisted elements would need infinite series and are rejected."""
+        if len(self.terms) != 1:
+            raise ValueError(
+                "only single-term twisted elements can be inverted; general "
+                "inverses need infinite support"
+            )
+        ((g, coeff),) = self.terms.items()
+        ginv = g.inv()
+        return TwistedElem(self.basis, {ginv: ginv.twist(coeff.inv())})
+
+    def _words(self) -> int:
+        return sum(c._words() for c in self.terms.values())
 
     def commutator(self, other: "TwistedElem") -> "TwistedElem":
         return self * other - other * self

@@ -47,3 +47,62 @@ def test_deep_nesting_exits_2_with_one_line():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: 1:201: parentheses nested deeper than 200 levels"]
+
+
+def _cli(*argv, **env):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, "-m", "gkbench.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+# Large exponents run only under small caps: a build that fails to charge
+# powers then computes a few kilobytes, not gigabytes.
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("--context", "field", "(s1+1)^2000"), "1"),
+        (("--context", "field", "2^100000"), "1"),
+        (("--context", "field", "2^100000"), "1000"),
+        (("--context", "field", "(1/3 + s2)^-3000"), "1000"),
+        (("--context", "twisted", "(2*x1)^-20000"), "1000"),
+        (("--context", "quantum", "(2*z)^-20000"), "1000"),
+        (("--context", "quantum", "(x1 + z)^2000"), "1000"),
+    ],
+)
+def test_powers_are_charged_to_the_budget(argv, cap):
+    proc = _cli("eval", *argv, WORKBENCH_MAX_OPS=cap)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr
+
+
+def test_group_powers_stay_free():
+    proc = _cli("eval", "--context", "group", "x1^200000000000", "--format", "machine",
+                WORKBENCH_MAX_OPS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert '"canonical": "x1^200000000000"' in proc.stdout
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path):
+    for target in (tmp_path / "missing" / "report.txt", tmp_path):
+        proc = _cli("eval", "--context", "field", "1", "--out", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert str(target) in lines[0]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, gkbench.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
