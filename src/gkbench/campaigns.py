@@ -425,7 +425,7 @@ def _campaign_field_axioms(params, rng):
             a = basis.rational(random_fraction(rng))
         else:
             a = random_mq(rng, basis)
-        return a.fixed_by_all() == a.is_rational()
+        return a.fixed_by_all() == all(a.apply_f(i) == a for i in range(1, 6))
 
     def ring_axioms():
         a, b, c = (random_mq(rng, basis) for _ in range(3))

@@ -43,13 +43,15 @@ def gamma_coeff(power: int, target: GroupElem) -> int:
     """Exact coefficient of `target` in gamma**power.
 
     Writing target = prod x_j**(-m_j): the coefficient is the multinomial
-    power! / prod m_j! when sum m_j == power, and 0 otherwise.
+    power! / prod m_j! when sum m_j == power, and 0 otherwise.  The budget
+    is charged first: power products, each on numbers below power**power.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
     mult = _target_multiplicities(target)
     if sum(mult.values()) != power:
         return 0
+    budget.charge(power * (power * power.bit_length() // 64 + 1))
     coeff = factorial(power)
     for m in mult.values():
         coeff //= factorial(m)

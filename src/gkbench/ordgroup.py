@@ -107,23 +107,17 @@ class GroupElem:
         """(-1)**n_i: the sign this element's action puts on sqrt(p_i)."""
         return -1 if self.exps.get(i, 0) % 2 else 1
 
+    def check_within(self, n: int):
+        """Raise IndexError unless every index of the support is at most n."""
+        top = self.max_index()
+        if top > n:
+            raise IndexError(f"group index {top} outside the coefficient basis range 1..{n}")
+
     def twist(self, a: MQElem) -> MQElem:
-        """Apply the induced field automorphism (the product of f_i**n_i over
-        the support) to a.  The coefficient basis must cover the support."""
-        n = len(a.basis)
-        for i in self.exps:
-            if i > n:
-                raise IndexError(
-                    f"group index {i} outside the coefficient basis range 1..{n}"
-                )
-        out = {}
-        for subset, value in a.coeffs.items():
-            sign = 1
-            for i in subset:
-                if self.exps.get(i, 0) % 2:
-                    sign = -sign
-            out[subset] = sign * value
-        return MQElem(a.basis, out)
+        """Apply the induced field automorphism, f_i's sign flip for every odd
+        exponent n_i, to a.  The coefficient basis must cover the support."""
+        self.check_within(len(a.basis))
+        return a._flip({i for i, e in self.exps.items() if e % 2})
 
     # --- rendering ----------------------------------------------------------
 

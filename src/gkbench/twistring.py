@@ -8,6 +8,9 @@ Only finite supports are represented here; everything the package verifies
 about the construction reduces to finite data.  Centrality can be decided
 two ways: structurally (support made of squares, rational coefficients) or
 by commutation against the generators up to a caller-supplied index bound.
+
+The public constructor validates its terms (the basis must cover the support);
+ring operations build their canonical results directly.
 """
 
 from __future__ import annotations
@@ -32,12 +35,21 @@ class TwistedElem:
         for g, coeff in dict(terms).items():
             if not isinstance(g, GroupElem):
                 raise TypeError("support elements must be GroupElems")
+            g.check_within(len(basis))
             if coeff.basis != basis:
                 raise ValueError("prime basis mismatch")
             if coeff:
                 clean[g] = coeff
         self.basis = basis
         self.terms = clean
+
+    @classmethod
+    def _make(cls, basis: PrimeBasis, terms: dict) -> "TwistedElem":
+        """Trusted constructor: valid keys and coefficients; drops zeros."""
+        elem = object.__new__(cls)
+        elem.basis = basis
+        elem.terms = {g: c for g, c in terms.items() if c}
+        return elem
 
     # --- constructors -------------------------------------------------------
 
@@ -90,10 +102,10 @@ class TwistedElem:
         for g, coeff in other.terms.items():
             acc = out.get(g)
             out[g] = coeff if acc is None else acc + coeff
-        return TwistedElem(self.basis, out)
+        return TwistedElem._make(self.basis, out)
 
     def __neg__(self):
-        return TwistedElem(self.basis, {g: -c for g, c in self.terms.items()})
+        return TwistedElem._make(self.basis, {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TwistedElem):
@@ -112,7 +124,7 @@ class TwistedElem:
                 contrib = a * x.twist(b)
                 acc = out.get(z)
                 out[z] = contrib if acc is None else acc + contrib
-        return TwistedElem(self.basis, out)
+        return TwistedElem._make(self.basis, out)
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, TwistedElem.one(self.basis))
@@ -127,7 +139,7 @@ class TwistedElem:
             )
         ((g, coeff),) = self.terms.items()
         ginv = g.inv()
-        return TwistedElem(self.basis, {ginv: ginv.twist(coeff.inv())})
+        return TwistedElem._make(self.basis, {ginv: ginv.twist(coeff.inv())})
 
     def _words(self) -> int:
         return sum(c._words() for c in self.terms.values())
@@ -177,8 +189,7 @@ class TwistedElem:
         )
 
     def __hash__(self):
-        items = tuple(sorted(self.terms.items(), key=lambda kv: str(kv[0])))
-        return hash((self.basis, items))
+        return hash((self.basis, frozenset(self.terms.items())))
 
     def __str__(self):
         return render_terms(

@@ -106,3 +106,21 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("expr", ["x7", "x7*s1", "s1*x7"])
+def test_twisted_support_outside_the_basis_exits_2(expr):
+    proc = _cli("eval", "--context", "twisted", "--primes", "2", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: group index 7 outside the coefficient basis range 1..2"
+    ]
+
+
+def test_gamma_coeff_factorials_are_charged():
+    proc = _cli("gamma", "coeff", "--power", "1000", "x1^-500*x2^-500", WORKBENCH_MAX_OPS="1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr

@@ -3,10 +3,11 @@ witness, and the affine monomial count."""
 
 import itertools
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from gkbench import budget
 from gkbench.gammalab import (
     gamma_coeff,
     gamma_coeff_oracle,
@@ -165,3 +166,31 @@ def test_rn_dim_validation():
         rn_dim(-1, 3)
     with pytest.raises(ValueError):
         rn_dim_series(2, 0)
+
+
+def test_gamma_coeff_charges_its_factorials():
+    for power, target, charge in (
+        (1000, GroupElem({1: -500, 2: -500}), 1000 * (1000 * 10 // 64 + 1)),
+        (14, GroupElem({1: -7, 2: -7}), 14),
+        (0, GroupElem(), 0),
+        (5, GroupElem({1: -1}), 0),  # off the grading: no factorial taken
+    ):
+        budget.reset()
+        gamma_coeff(power, target)
+        assert budget.used() == charge
+
+
+def test_gamma_coeff_on_the_cli_workload_range():
+    rng = random.Random(14)
+    for power in range(6, 15):
+        for _ in range(5):
+            cuts = sorted(rng.sample(range(1, power), 2))
+            parts = (cuts[0], cuts[1] - cuts[0], power - cuts[1])
+            target = GroupElem({i: -m for i, m in zip(rng.sample(range(1, 7), 3), parts)})
+            # multinomial as a product of binomials, an independent route
+            expected, left = 1, power
+            for m in parts:
+                expected, left = expected * comb(left, m), left - m
+            assert gamma_coeff(power, target) == expected
+            if power <= 10:
+                assert gamma_coeff(power, target) == gamma_coeff_oracle(power, target)
