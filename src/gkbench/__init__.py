@@ -24,7 +24,7 @@ _EXPORTS = {
     "growth": ("DegreeEstimate", "GrowthSeries", "LinearFit", "degree_estimate", "slope_extract"),
     "mqfield": ("MQElem", "PrimeBasis", "first_primes", "is_prime"),
     "ordgroup": ("EQ", "GT", "LT", "GroupElem"),
-    "parser": ("ParseError", "parse", "to_field", "to_free_word", "to_group", "to_quantum", "to_twisted"),
+    "parser": ("ParseError", "parse", "to_field", "to_group", "to_quantum", "to_twisted"),
     "qaffine": (
         "FreeWord",
         "HomCheckReport",

@@ -535,8 +535,16 @@ def _campaign_confluence(params, rng):
     for _ in range(words):
         alg = rng.choice(algebras)
         word = random_word(rng, alg, max_len=8)
+        # two routes: the rewriter in every order, and the closed-form
+        # QPoly product of the word's generators
         reference = normal_form(word)
-        if all(normal_form_random(word, rng) == reference for _ in range(orders)):
+        closed = alg.scalar(word.scalar)
+        for i in word.indices:
+            closed = closed * alg.generator(i)
+        if (
+            all(normal_form_random(word, rng) == reference for _ in range(orders))
+            and closed == reference
+        ):
             stable += 1
     return [
         _mk(

@@ -27,7 +27,6 @@ from .parser import (
     max_symbol_index,
     parse,
     to_field,
-    to_free_word,
     to_group,
     to_quantum,
     to_twisted,
@@ -36,7 +35,6 @@ from .qaffine import (
     QAlgebra,
     gk_profile,
     hom_check,
-    normal_form,
     power_map_images,
 )
 from .reports import all_passed, emit, timed_record
@@ -106,11 +104,7 @@ def _cmd_gamma_growth(args):
 def _cmd_quantum_nf(args):
     alg = _algebra(args)
     t0 = time.perf_counter()
-    node = parse(args.expr, "quantum")
-    try:
-        poly = normal_form(to_free_word(node, alg))
-    except ValueError:
-        poly = to_quantum(node, alg)  # sums are already canonical termwise
+    poly = to_quantum(parse(args.expr, "quantum"), alg)
     return [
         timed_record(
             "quantum.normal_form",

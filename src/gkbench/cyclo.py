@@ -39,33 +39,6 @@ from .mqfield import is_prime
 from .ringops import charged_power, render_terms, words
 
 
-# --- dense polynomial helpers over Fraction (little-endian coefficient lists)
-
-
-def _trim(coeffs):
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        factor = rem[-1] / lead
-        shift = len(rem) - len(b)
-        quot[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] -= factor * cb
-        _trim(rem)
-        if not rem:
-            break
-    return _trim(quot), rem
-
-
 # --- the integer kernel ------------------------------------------------------------
 
 # Slot widths (bytes) that unpack through a machine-word memoryview, whose

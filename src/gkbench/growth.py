@@ -65,10 +65,6 @@ class GrowthSeries:
     def rs(self):
         return tuple(r for r, _ in self.points)
 
-    @property
-    def dims(self):
-        return tuple(d for _, d in self.points)
-
     def __len__(self):
         return len(self.points)
 

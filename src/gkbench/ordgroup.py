@@ -41,9 +41,6 @@ class GroupElem:
     def generator(cls, i: int, power: int = 1) -> "GroupElem":
         return cls({i: power})
 
-    def exponent(self, i: int) -> int:
-        return self.exps.get(i, 0)
-
     def max_index(self) -> int:
         """Largest index in the support (0 for the identity)."""
         return max(self.exps, default=0)

@@ -15,8 +15,9 @@ One fold, `_evaluate`, turns an accepted tree into a value in every context:
 powers, products and sums go to the value type's own operators, so each type
 decides what a negative power means and charges the work budget for powers,
 and a per-context leaf function maps literals and symbols.  `to_field`,
-`to_group`, `to_twisted` and `to_quantum` are those contexts; `to_free_word`
-reads a single product as an unreduced quantum word.
+`to_group`, `to_twisted` and `to_quantum` are those contexts.  In the quantum
+context the fold is the only route to a normal form: `QPoly` products sort
+their monomials in closed form, so `quantum nf` needs no word rewriting.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Optional
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
 from .twistring import TwistedElem
-from .qaffine import FreeWord, QAlgebra, QPoly
+from .qaffine import QAlgebra, QPoly
 
 CONTEXTS = ("field", "group", "twisted", "quantum")
 
@@ -380,35 +381,3 @@ def to_quantum(node, algebra: QAlgebra) -> QPoly:
 
     return _evaluate(node, leaf)
 
-
-def to_free_word(node, algebra: QAlgebra) -> FreeWord:
-    """Interpret a single product as an unreduced word with scalar prefactor."""
-    scalar = algebra.field.one()
-    indices: list[int] = []
-
-    def walk(n):
-        nonlocal scalar
-        if isinstance(n, Lit):
-            scalar = scalar * algebra.field.rational(n.value)
-        elif isinstance(n, Sym) and n.kind == "cyclo":
-            scalar = scalar * algebra.field.zeta
-        elif isinstance(n, Sym) and n.kind == "xgen":
-            indices.append(n.index)
-        elif isinstance(n, Pow):
-            if isinstance(n.base, Sym) and n.base.kind == "xgen":
-                if n.exponent < 0:
-                    raise ValueError("negative generator exponents in a word")
-                indices.extend([n.base.index] * n.exponent)
-            else:
-                value = to_quantum(n, algebra).as_scalar()
-                if value is None:
-                    raise ValueError("not a single word: non-scalar parenthesized part")
-                scalar = scalar * value
-        elif isinstance(n, Mul):
-            for f in n.factors:
-                walk(f)
-        else:
-            raise ValueError("not a single word: sums cannot appear in a word")
-
-    walk(node)
-    return FreeWord(algebra, tuple(indices), scalar)

@@ -5,7 +5,9 @@ unique sorted monomial (every adjacent swap that moves a higher index left
 past a lower one costs a factor q**-1), and polynomials are canonical maps
 {exponent vector: nonzero scalar}.  Products skip the rewriting: sorting
 x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is that power of
-q**-1 times x^(e+f); the rewriting stays as the oracle.  Likewise the
+q**-1 times x^(e+f).  The rewriting (`normal_form`,
+`normal_form_random`) stays only as the oracle that the `confluence`
+campaign and the tests compare the product against.  Likewise the
 dimension count dim V^r is the closed form C(n+r, r), charging the work
 budget for the monomials it counts, and the listing survives as
 `dim_Vr_oracle`.
@@ -119,7 +121,6 @@ def normal_form(word: FreeWord) -> "QPoly":
     """Reduce a word to its canonical single-term polynomial by adjacent
     swaps: each swap x_j x_i -> x_i x_j with j > i multiplies the scalar by
     q**-1.  Inversions are resolved leftmost first."""
-    budget.charge(max(1, len(word.indices) ** 2))
     return _rewrite(word, _leftmost_inversion)
 
 
@@ -145,7 +146,9 @@ def _leftmost_inversion(idx, start):
 
 def _rewrite(word: FreeWord, pick) -> "QPoly":
     """The rewriting loop: swap the adjacent inversion pick(idx, last) names
-    until there is none, then apply q**-swaps to the scalar once."""
+    until there is none, then apply q**-swaps to the scalar once.  The
+    budget is charged here, once per word, for the at most len**2 swaps."""
+    budget.charge(max(1, len(word.indices) ** 2))
     alg = word.algebra
     idx = list(word.indices)
     swaps = 0

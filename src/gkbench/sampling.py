@@ -35,10 +35,6 @@ def random_mq(rng, basis: PrimeBasis, max_terms: int = 3, nonzero: bool = False)
             return elem
 
 
-def random_rational_mq(rng, basis: PrimeBasis) -> MQElem:
-    return basis.rational(random_fraction(rng))
-
-
 def random_group(rng, max_index: int = 4, max_exp: int = 3, max_support: int = 3) -> GroupElem:
     support = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_support, max_index)))
     return GroupElem({i: rng.choice([e for e in range(-max_exp, max_exp + 1) if e]) for i in support})
@@ -66,7 +62,7 @@ def random_central_twisted(rng, basis: PrimeBasis, max_terms: int = 3, max_index
     """Support inside the squares subgroup, rational coefficients."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[random_square_group(rng, max_index)] = random_rational_mq(rng, basis)
+        terms[random_square_group(rng, max_index)] = basis.rational(random_fraction(rng))
     return TwistedElem(basis, terms)
 
 

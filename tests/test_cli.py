@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +94,21 @@ def test_quantum_nf(capsys):
     )
     assert code == 0
     assert machine_lines(out)[0]["outputs"]["normal_form"] == "-z*x1*x2"
+
+
+@pytest.mark.parametrize(
+    "expr, normal_form",
+    [
+        ("x1^20000", "x1^20000"),
+        ("x2^6000*x1^6000", "x1^6000*x2^6000"),
+        ("x2^4999*x1^4999", "-z*x1^4999*x2^4999"),  # q^-(4999^2) = q^-1
+    ],
+)
+def test_quantum_nf_long_words(capsys, expr, normal_form):
+    # words whose swap-by-swap rewriting would exhaust the default budget
+    code, out, _ = run(capsys, "quantum", "nf", "--n", "2", expr, "--format", "machine")
+    assert code == 0
+    assert machine_lines(out)[0]["outputs"]["normal_form"] == normal_form
 
 
 def test_quantum_mul(capsys):
@@ -206,3 +224,27 @@ def test_budget_env_var_caps_cli_subprocess():
     )
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The `gkbench` lines of the README's command-line block, in order,
+    each with the exit code its comment documents (0 unless "exits N")."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("gkbench "):
+            documented = re.search(r"#.*\bexits (\d)", line)
+            yield shlex.split(line, comments=True)[1:], int(documented[1]) if documented else 0
+
+
+def test_readme_command_lines_exit_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the lines write series.txt and report.jsonl
+    commands = list(readme_commands())
+    assert len(commands) == 17
+    for argv, want in commands:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (want, ""), argv

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkbench.cyclo import CycElem, CycField, _poly_divmod
+from gkbench.cyclo import CycElem, CycField
 from gkbench.qaffine import FreeWord, QAlgebra, QPoly, normal_form
+from polydiv import poly_divmod
 
 LEVELS = ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))
 FIELDS = {level: CycField(*level) for level in LEVELS}
@@ -29,7 +30,7 @@ def schoolbook(a, b):
 
 def reduced(field, poly):
     """Coefficient vector of poly mod the field's modulus, by long division."""
-    _, rem = _poly_divmod(poly, list(field.modulus))
+    _, rem = poly_divmod(poly, list(field.modulus))
     return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
 
 

@@ -1,5 +1,6 @@
-"""CLI contract on random expressions: `gkbench eval` in every context ends
-in exit 0 or 2 (one `error:` line) and never raises."""
+"""CLI contract on random expressions: `gkbench eval` in every context, and
+`gkbench quantum nf`, end in exit 0 or 2 (one `error:` line) and never
+raise."""
 
 import contextlib
 import io
@@ -48,13 +49,20 @@ def small_cap():
     budget.set_cap(saved)
 
 
-@pytest.mark.parametrize("context", sorted(ATOMS))
-def test_eval_exits_0_or_2_and_never_raises(small_cap, context):
+# the argv before the expression, by the context whose atoms it reads
+COMMANDS = [
+    pytest.param(context, ["eval", "--context", context], id=context)
+    for context in sorted(ATOMS)
+] + [pytest.param("quantum", ["quantum", "nf", "--n", "3"], id="quantum-nf")]
+
+
+@pytest.mark.parametrize("context, command", COMMANDS)
+def test_eval_exits_0_or_2_and_never_raises(small_cap, context, command):
     @given(_expr(context, 3))
     def check(text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["eval", "--context", context, "--", text])
+            code = cli.main([*command, "--", text])
         assert code in (0, 2), (text, code)
         if code == 2:
             lines = err.getvalue().splitlines()

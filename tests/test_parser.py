@@ -13,7 +13,6 @@ from gkbench.parser import (
     max_symbol_index,
     parse,
     to_field,
-    to_free_word,
     to_group,
     to_quantum,
     to_twisted,
@@ -44,11 +43,6 @@ def test_field_expression():
     assert to_field(node, BASIS) == MQElem(
         BASIS, {frozenset(): Fraction(1, 2), frozenset({1, 2}): 1}
     )
-
-
-def test_quantum_word_keeps_order():
-    word = to_free_word(parse("x2*x1", "quantum"), ALG)
-    assert word.indices == (2, 1)
 
 
 def test_twisted_factor_order_matters():

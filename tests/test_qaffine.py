@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+from gkbench import budget
+from gkbench.campaigns import run_campaign
 from gkbench.cyclo import CycField
 from gkbench.qaffine import (
     FreeWord,
@@ -57,6 +59,28 @@ def test_normal_form_confluence_random_orders():
         reference = normal_form(word)
         for _ in range(20):
             assert normal_form_random(word, rng) == reference
+
+
+def test_random_order_rewrite_charges_the_budget():
+    # an 8-letter word charges 64 ops in either order, far past a cap of 10
+    saved = budget.cap()
+    budget.set_cap(10)
+    try:
+        with pytest.raises(budget.WorkBudgetExceeded):
+            normal_form_random(ALG.word([2, 1] * 4), random.Random(0))
+        budget.reset()
+        with pytest.raises(budget.WorkBudgetExceeded):
+            normal_form(ALG.word([2, 1] * 4))
+    finally:
+        budget.set_cap(saved)
+
+
+def test_confluence_campaign_checks_the_closed_form_product(monkeypatch):
+    assert run_campaign("confluence")[0].verdict == "pass"
+    reversed_mul = QPoly.__mul__
+    monkeypatch.setattr(QPoly, "__mul__", lambda a, b: reversed_mul(b, a))
+    (record,) = run_campaign("confluence")
+    assert record.verdict == "fail" and record.outputs["stable"] < 200
 
 
 def test_mul_examples():
