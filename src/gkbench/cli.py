@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import budget
-from .campaigns import affine_claims, campaign_names, degree_claim, run_campaign
+from .campaigns import affine_claims, campaign_names, degree_claim, hom_claim, run_campaign
 from .cyclo import CycField
 from .gammalab import (
     gamma_coeff,
@@ -144,7 +144,7 @@ def _cmd_quantum_growth(args):
             {"n": args.n, "p": args.p, "t": args.t, "rmax": rmax},
             GrowthSeries(pairs),
             args.n,
-        )
+        )[1]
     ]
 
 
@@ -155,7 +155,7 @@ def _cmd_quantum_hom_check(args):
         raise ValueError("source level must be nonnegative")
     src = QAlgebra(args.n, CycField(args.p, src_t))
     t0 = time.perf_counter()
-    if args.images:
+    if args.images is not None:
         images = [
             to_quantum(parse(piece.strip(), "quantum"), dst)
             for piece in args.images.split(";")
@@ -164,18 +164,12 @@ def _cmd_quantum_hom_check(args):
     else:
         images = power_map_images(src, dst, args.p)
         label = f"x_i -> x_i^{args.p}"
-    report = hom_check(src, dst, images)
     return [
-        timed_record(
+        hom_claim(
             "quantum.hom_check",
             {"n": args.n, "p": args.p, "src_t": src_t, "dst_t": args.t, "map": label},
-            {
-                "ok": report.ok,
-                "failing_pair": list(report.failing_pair or ()),
-                "defect": str(report.defect) if report.defect else None,
-            },
-            report.ok,
-            t0,
+            hom_check(src, dst, images),
+            started=t0,
         )
     ]
 
@@ -223,19 +217,19 @@ def _cmd_growth_estimate(args):
 def _cmd_eval(args):
     t0 = time.perf_counter()
     node = parse(args.expr, args.context)
-    if args.context == "field":
-        size = args.primes or max(1, max_symbol_index(node, "radical"))
-        value = to_field(node, PrimeBasis.first(size))
-    elif args.context == "group":
+    # an explicit --primes or --n wins, zero included; otherwise the
+    # largest index the expression uses (at least 1)
+    gens = max_symbol_index(node, "xgen")
+    if args.context == "group":
         value = to_group(node)
-    elif args.context == "twisted":
-        needed = max(
-            max_symbol_index(node, "radical"), max_symbol_index(node, "xgen"), 1
-        )
-        value = to_twisted(node, PrimeBasis.first(args.primes or needed))
-    else:
-        n = args.n or max(1, max_symbol_index(node, "xgen"))
+    elif args.context == "quantum":
+        n = max(1, gens) if args.n is None else args.n
         value = to_quantum(node, QAlgebra(n, CycField(args.p, args.t)))
+    else:
+        twisted = args.context == "twisted"
+        size = max(1, max_symbol_index(node, "radical"), gens if twisted else 0)
+        basis = PrimeBasis.first(size if args.primes is None else args.primes)
+        value = (to_twisted if twisted else to_field)(node, basis)
     return [
         timed_record(
             "parse.eval",

@@ -7,7 +7,9 @@ asked here concerns the coefficient of one group element in gamma**n, which
 only ordered n-tuples of inverse generators can reach; the coefficients of
 gamma are rational, so the twist plays no role and the count is a plain
 multinomial.  An exhaustive tuple enumeration is kept alongside the closed
-form as an independent oracle.
+form as an independent oracle.  The independence witness charges the
+budget for its whole matrix before building it, and the `step4` campaign
+reads its verdicts from that matrix.
 
 The monomial count `rn_dim` is a closed form too.  It charges the work
 budget one op per binary part it counts (4**pairs), as the listing it
@@ -105,8 +107,12 @@ class IndependenceWitness(NamedTuple):
 
 
 def independence_witness(degree: int) -> IndependenceWitness:
+    """The witness up to `degree` (at least 1).  The budget is charged
+    (degree + 1) * degree * (degree + 1) // 2 ops first: one per target
+    exponent that each of the degree + 1 columns reads."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    budget.charge((degree + 1) * degree * (degree + 1) // 2)
     targets = [
         GroupElem({i: -1 for i in range(1, n + 1)}) for n in range(degree + 1)
     ]

@@ -64,7 +64,9 @@ class PrimeBasis:
 
     @classmethod
     def first(cls, n: int) -> "PrimeBasis":
-        """The basis made of the first n primes."""
+        """The basis made of the first n primes (n >= 0)."""
+        if n < 0:
+            raise ValueError(f"a basis needs a nonnegative number of primes, got {n}")
         return cls(first_primes(n))
 
     def __len__(self):

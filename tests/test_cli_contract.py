@@ -124,3 +124,43 @@ def test_gamma_coeff_factorials_are_charged():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr
+
+
+def test_witness_matrix_is_charged():
+    proc = _cli("gamma", "witness", "--degree", "100", WORKBENCH_MAX_OPS="100000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_step4_needs_degree_at_least_one(n):
+    proc = _cli("verify", "step4", "--n", n)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: degree must be at least 1"]
+
+
+# Explicit values are honoured, zero and empty included; negative ones and
+# empty maps are bad input.
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (("eval", "--context", "field", "--primes", "-2", "1"), 2, None),
+        (("eval", "--context", "field", "--primes", "0", "s1"), 2, None),
+        (("eval", "--context", "twisted", "--primes", "-1", "x1"), 2, None),
+        (("eval", "--context", "quantum", "--n", "0", "x1"), 2, None),
+        (("quantum", "hom-check", "--n", "2", "--images", ""), 2, None),
+        (("eval", "--context", "field", "--primes", "0", "1/2"), 0, '"canonical": "1/2"'),
+    ],
+)
+def test_explicit_zero_and_negative_values(argv, code, out):
+    proc = _cli(*argv, "--format", "machine")
+    assert proc.returncode == code, proc.stderr
+    if out is None:
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    else:
+        assert out in proc.stdout and proc.stderr == ""

@@ -1,19 +1,22 @@
 """Closed-form growth counts against their listing oracles, their budget
-charges, and the claims the CLI shares with the campaigns."""
+charges, and the claims the CLI shares with the campaigns (growth degrees,
+ring maps, the Step-4 witness)."""
 
 import itertools
 import json
-from math import comb
+import time
+from math import comb, factorial
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkbench import budget
-from gkbench.campaigns import run_campaign
+from gkbench import budget, campaigns
+from gkbench.campaigns import hom_claim, run_campaign
 from gkbench.cli import main
 from gkbench.cyclo import CycField
-from gkbench.gammalab import rn_dim
-from gkbench.qaffine import QAlgebra, dim_Vr, dim_Vr_oracle
+from gkbench.gammalab import gamma_coeff, rn_dim
+from gkbench.ordgroup import GroupElem
+from gkbench.qaffine import QAlgebra, dim_Vr, dim_Vr_oracle, hom_check
 
 FIELD = CycField(2, 1)
 
@@ -92,3 +95,87 @@ def test_quantum_growth_and_lemma51_agree(capsys):
     outputs = cli["quantum.growth.degree"]["outputs"]
     assert set(outputs) == {"degree", "raw", "expected", "note"}
     assert outputs["degree"] == "3"
+
+
+def test_step8_lists_the_binary_family():
+    # rn_dim charges 4**2 for each r in 4..16; the listing adds one op per part
+    budget.reset()
+    run_campaign("step8")
+    assert budget.used() == 13 * 16 + 16
+
+
+def old_step4_records(n_max):
+    """The per-entry loop the step4 campaign ran before it read the witness,
+    kept as the reference: one gamma_coeff call per matrix entry."""
+    out = []
+    for n in range(1, n_max + 1):
+        target = GroupElem({i: -1 for i in range(1, n + 1)})
+        value = gamma_coeff(n, target)
+        out.append(
+            (
+                f"step4.n_factorial.n{n:02d}",
+                {"power": n, "target": str(target)},
+                {"coefficient": value, "expected": factorial(n)},
+                "pass" if value == factorial(n) else "fail",
+            )
+        )
+        others = [gamma_coeff(k, target) for k in range(n_max + 1) if k != n]
+        nonzero = sum(1 for v in others if v)
+        out.append(
+            (
+                f"step4.zero_offdiagonal.n{n:02d}",
+                {"target": str(target), "powers": f"0..{n_max} except {n}"},
+                {"nonzero": nonzero},
+                "pass" if nonzero == 0 else "fail",
+            )
+        )
+    return sorted(out, key=lambda r: r[0])
+
+
+def test_step4_reads_the_witness_as_the_per_entry_loop_did(monkeypatch):
+    expected = {n_max: old_step4_records(n_max) for n_max in range(1, 9)}
+
+    def no_second_route(*args):
+        raise AssertionError("step4 computes its entries itself")
+
+    # the campaign reads the witness's matrix; it calls no gamma_coeff of its own
+    monkeypatch.setattr(campaigns, "gamma_coeff", no_second_route)
+    for n_max in range(1, 9):
+        records = run_campaign("step4", {"n": n_max})
+        got = [(r.claim_id, r.inputs, r.outputs, r.verdict) for r in records]
+        assert got == expected[n_max], n_max
+
+
+def test_hom_check_and_lemma53_share_one_record_shape(capsys):
+    cli = cli_records(capsys, "quantum", "hom-check", "--n", "2", "--p", "2", "--t", "1")
+    campaign = {r.claim_id: r for r in run_campaign("lemma5.3")}
+    homs = [r for r in campaign.values() if r.claim_id.startswith("lemma5.3.hom.")]
+    assert len(homs) == 8
+    for record in homs:
+        assert record.outputs == {"ok": True, "failing_pair": [], "defect": None}
+    assert cli["quantum.hom_check"]["outputs"] == campaign["lemma5.3.hom.p02.t01.n02"].outputs
+    swap = campaign["lemma5.3.swap_rejected"]
+    assert set(swap.outputs) == {"ok", "failing_pair", "defect"} and swap.passed
+
+
+def test_theorem61_degrees_go_through_degree_claim():
+    records = {r.claim_id: r for r in run_campaign("theorem6.1")}
+    for n in range(1, 5):
+        record = records[f"theorem6.1.degree.n{n:02d}"]
+        assert set(record.outputs) == {"degree", "raw", "expected", "note"}
+        assert record.outputs["degree"] == str(n) and record.passed
+    assert records["theorem6.1.strictly_increasing"].outputs["estimates"] == [1, 2, 3, 4]
+
+
+def test_hom_claim_checks_the_named_relation():
+    alg = QAlgebra(3, FIELD)
+    x1, x2 = alg.generator(1), alg.generator(2)
+    t0 = time.perf_counter()
+    report = hom_check(alg, alg, [x1, x2, x1])  # keeps (1,2), breaks (1,3)
+    assert report.failing_pair == (1, 3)
+    assert not hom_claim("c", {}, report, started=t0).passed
+    assert not hom_claim("c", {}, report, breaks=(1, 2), started=t0).passed
+    assert hom_claim("c", {}, report, breaks=(1, 3), started=t0).passed
+    identity = hom_check(alg, alg, [x1, x2, alg.generator(3)])
+    assert hom_claim("c", {}, identity, started=t0).passed
+    assert not hom_claim("c", {}, identity, breaks=(1, 2), started=t0).passed

@@ -111,6 +111,22 @@ def test_witness_degree_six():
     assert w.trace[-1] == "verdict: independent"
 
 
+def test_witness_charges_its_matrix_before_building_it():
+    # (d + 1) * d * (d + 1) // 2: one op per target exponent each column reads
+    saved = budget.cap()
+    budget.set_cap(100)
+    try:
+        with pytest.raises(budget.WorkBudgetExceeded):
+            independence_witness(6)
+        assert budget.used() == 7 * 6 * 7 // 2  # nothing charged past it
+        budget.set_cap(None)
+        independence_witness(6)
+        # plus the diagonal gamma_coeff calls, n ops each; the rest are free
+        assert budget.used() == 147 + sum(range(7))
+    finally:
+        budget.set_cap(saved)
+
+
 def test_witness_rejects_degree_zero():
     with pytest.raises(ValueError):
         independence_witness(0)

@@ -204,6 +204,19 @@ def test_embed_root():
         embed_root(CycField(3, 1), upper)
 
 
+def test_algebras_and_embedded_roots_charge_nothing():
+    # zeta is primitive by construction; its order is the tower campaign's
+    # check, not something every algebra re-proves by powering
+    field = CycField(2, 6)
+    budget.reset()
+    alg = QAlgebra(2, field)
+    image = embed_root(CycField(2, 3), field)
+    assert budget.used() == 0
+    assert alg.q * alg.q_inv == field.one()
+    assert image == field.zeta ** (2**6)
+    assert embed_root(CycField(2, 0), field) == field.one()
+
+
 def test_hom_check_validation():
     with pytest.raises(ValueError):
         hom_check(ALG, ALG, [ALG.generator(1)])
