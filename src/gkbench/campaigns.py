@@ -2,7 +2,9 @@
 
 Each campaign re-checks one family of the package's headline identities and
 yields one Record per sub-check.  Campaigns are deterministic given a seed
-(timings excepted) and the returned stream is ordered by claim id.
+(timings excepted) and the returned stream is ordered by claim id.  A
+campaign takes its rng and then its parameters as keywords with defaults;
+that signature is the one place that knows which parameters it reads.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ def hom_claim(claim_id: str, inputs: dict, report, breaks=None, *, started: floa
 # --- gamma -----------------------------------------------------------------
 
 
-def _campaign_step4(params, rng):
+def _campaign_step4(rng, n=6):
     # row n of the witness holds the coefficients of x1^-1*...*xn^-1 in
     # gamma^0..gamma^n_max: n! on the diagonal, zero elsewhere
-    n_max = int(params.get("n", 6))
+    n_max = n  # the loop below counts n up to it
     t0 = time.perf_counter()
     matrix = independence_witness(n_max).matrix
     records = []
@@ -148,14 +150,14 @@ def _campaign_step4(params, rng):
     return records
 
 
-def _campaign_step4_oracle(params, rng):
-    queries = int(params.get("queries", 500))
-    n_max = int(params.get("n", 6))
+def _campaign_step4_oracle(rng, queries=500, n=6):
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     t0 = time.perf_counter()
     agree = 0
     mismatches = []
     for _ in range(queries):
-        power = rng.randint(1, n_max)
+        power = rng.randint(1, n)
         support = rng.sample(range(1, 9), rng.randint(1, min(power, 4)))
         if rng.random() < 0.85:
             mult = _random_composition(rng, power, len(support))
@@ -172,7 +174,7 @@ def _campaign_step4_oracle(params, rng):
     return [
         _mk(
             "step4.oracle_agreement",
-            {"queries": queries, "max_power": n_max},
+            {"queries": queries, "max_power": n},
             {"agreements": agree, "mismatches": mismatches},
             agree == queries,
             t0,
@@ -180,9 +182,8 @@ def _campaign_step4_oracle(params, rng):
     ]
 
 
-def _campaign_step8(params, rng):
-    n = int(params.get("n", 2))
-    rmax = int(params.get("rmax", 2 * n + 12))
+def _campaign_step8(rng, n=2, rmax=None):
+    rmax = 2 * n + 12 if rmax is None else rmax
     r_lo = max(1, 2 * n)
     series = GrowthSeries(rn_dim_series(n, rmax, r_lo))
     fit, records = affine_claims(
@@ -212,11 +213,7 @@ def _campaign_step8(params, rng):
 # --- quantum affine ---------------------------------------------------------
 
 
-def _campaign_lemma51(params, rng):
-    n = int(params.get("n", 3))
-    p = int(params.get("p", 2))
-    t = int(params.get("t", 1))
-    rmax = int(params.get("rmax", 12))
+def _campaign_lemma51(rng, n=3, p=2, t=1, rmax=12):
     alg = QAlgebra(n, CycField(p, t))
     t0 = time.perf_counter()
     mismatches = [r for r in range(rmax + 1) if dim_Vr(alg, r) != dim_Vr_oracle(alg, r)]
@@ -236,7 +233,7 @@ def _campaign_lemma51(params, rng):
 _CENTRALITY_GRID = ((2, 1), (2, 2), (3, 1))
 
 
-def _campaign_centrality(params, rng):
+def _campaign_centrality(rng):
     records = []
     for p, t in _CENTRALITY_GRID:
         order = p ** (2 * t)
@@ -270,7 +267,7 @@ def _campaign_centrality(params, rng):
     return records
 
 
-def _campaign_lemma53(params, rng):
+def _campaign_lemma53(rng):
     records = []
     for p in (2, 3):
         for t in (1, 2):
@@ -295,8 +292,7 @@ def _campaign_lemma53(params, rng):
 # --- twisted ring -------------------------------------------------------------
 
 
-def _campaign_step3(params, rng):
-    trials = int(params.get("trials", 1000))
+def _campaign_step3(rng, trials=1000):
     basis = PrimeBasis.first(4)
     t0 = time.perf_counter()
     agree = 0
@@ -330,8 +326,7 @@ def _trials(claim_id: str, trials: int, check) -> Record:
     return _mk(claim_id, {"trials": trials}, {"passed": good}, good == trials, t0)
 
 
-def _campaign_ring_axioms(params, rng):
-    trials = int(params.get("trials", 1000))
+def _campaign_ring_axioms(rng, trials=1000):
     basis = PrimeBasis.first(4)
 
     def associativity():
@@ -396,8 +391,7 @@ def _campaign_ring_axioms(params, rng):
     return records
 
 
-def _campaign_field_axioms(params, rng):
-    trials = int(params.get("trials", 1000))
+def _campaign_field_axioms(rng, trials=1000):
     basis = PrimeBasis.first(5)
     one = basis.one()
 
@@ -447,7 +441,7 @@ def _campaign_field_axioms(params, rng):
 _PRIMITIVITY_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1))
 
 
-def _campaign_tower(params, rng):
+def _campaign_tower(rng):
     records = []
     for p, t in _CENTRALITY_GRID:
         t0 = time.perf_counter()
@@ -476,10 +470,7 @@ def _campaign_tower(params, rng):
 # --- unbounded chain --------------------------------------------------------------
 
 
-def _campaign_theorem61(params, rng):
-    p = int(params.get("p", 2))
-    t = int(params.get("t", 1))
-    rmax = int(params.get("rmax", 12))
+def _campaign_theorem61(rng, p=2, t=1, rmax=12):
     records = []
     estimates = []
     for n in range(1, 5):
@@ -518,9 +509,7 @@ def _campaign_theorem61(params, rng):
 # --- rewriting ---------------------------------------------------------------------
 
 
-def _campaign_confluence(params, rng):
-    words = int(params.get("words", 200))
-    orders = int(params.get("orders", 20))
+def _campaign_confluence(rng, words=200, orders=20):
     algebras = [
         QAlgebra(n, CycField(p, t))
         for n in range(1, 5)
@@ -576,19 +565,33 @@ def campaign_names() -> list[str]:
     return sorted(_CAMPAIGNS) + ["all"]
 
 
+def _parameters(fn) -> tuple:
+    """The parameter names a campaign takes after its rng (read from its code
+    object: inspect is too heavy for the CLI's import path)."""
+    code = fn.__code__
+    return code.co_varnames[1 : code.co_argcount]
+
+
 def run_campaign(name: str, params=None, seed: int = 0) -> list[Record]:
     """Run the named campaign deterministically under the given seed and
-    return its records ordered by claim id."""
+    return its records ordered by claim id.  A named campaign rejects a
+    parameter it does not take; `all` hands each campaign the ones it takes."""
     params = dict(params or {})
     if name == "all":
-        records = []
-        for key in sorted(_CAMPAIGNS):
-            records.extend(_CAMPAIGNS[key](params, random.Random(seed)))
+        chosen = [_CAMPAIGNS[key] for key in sorted(_CAMPAIGNS)]
     else:
         fn = _CAMPAIGNS.get(name)
         if fn is None:
             raise ValueError(
                 f"unknown campaign {name!r}; known: {', '.join(campaign_names())}"
             )
-        records = fn(params, random.Random(seed))
+        for key in params:
+            if key not in _parameters(fn):
+                raise ValueError(f"campaign {name!r} takes no parameter {key!r}")
+        chosen = [fn]
+    records = []
+    for fn in chosen:
+        taken = _parameters(fn)
+        kwargs = {k: v for k, v in params.items() if k in taken}
+        records.extend(fn(random.Random(seed), **kwargs))
     return sorted(records, key=lambda r: r.claim_id)

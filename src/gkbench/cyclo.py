@@ -272,9 +272,6 @@ class CycElem:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     # --- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):

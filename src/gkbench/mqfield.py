@@ -11,15 +11,19 @@ every other generator.  An element is fixed by all of them exactly when it is
 rational, which is the structural test `fixed_by_all` implements; the
 `field.fixed_field` campaign checks it against replaying the automorphisms.
 
-`MQElem(basis, coeffs)` validates its input; ring operations build their
-canonical results directly.  Values are immutable and operations pure.
+An element is a `ringops.TermSum` over its `PrimeBasis`: `terms` maps index
+subsets to nonzero Fractions, and the sum, negation, equality and hashing
+are the shared ones.  `MQElem(basis, coeffs)` validates its input; ring
+operations build their canonical results directly.  Values are immutable
+and operations pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
-from .ringops import charged_power, render_terms, words
+from .ringops import TermSum, charged_power, render_terms, words
 
 
 def is_prime(n: int) -> bool:
@@ -109,15 +113,19 @@ class PrimeBasis:
         return MQElem(self, coeffs)
 
 
-class MQElem:
+class MQElem(TermSum):
     """Element of the multiquadratic field over a fixed PrimeBasis.
 
-    `coeffs` maps frozensets of radical indices to nonzero Fractions; the
+    `terms` maps frozensets of radical indices to nonzero Fractions; the
     canonical sparse form (zero coefficients dropped) makes equality
-    structural.
+    structural.  `basis` and `coeffs` are read-only names for `parent` and
+    `terms`.
     """
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ()
+    _mismatch = "prime basis mismatch"
+    basis = property(attrgetter("parent"))
+    coeffs = property(attrgetter("terms"))
 
     def __init__(self, basis: PrimeBasis, coeffs):
         n = len(basis)
@@ -132,28 +140,14 @@ class MQElem:
             value = Fraction(value)
             if value:
                 clean[subset] = value
-        self.basis = basis
-        self.coeffs = clean
-
-    @classmethod
-    def _make(cls, basis: PrimeBasis, coeffs: dict) -> "MQElem":
-        """Trusted constructor: valid keys and Fraction values; drops zeros."""
-        elem = object.__new__(cls)
-        elem.basis = basis
-        elem.coeffs = {s: v for s, v in coeffs.items() if v}
-        return elem
+        self.parent = basis
+        self.terms = clean
 
     # --- predicates ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def is_rational(self) -> bool:
         """True iff only the empty-subset (rational) component is present."""
-        return all(not s for s in self.coeffs)
+        return all(not s for s in self.terms)
 
     def fixed_by_all(self) -> bool:
         """True iff every automorphism f_i fixes the element, i.e. iff it is
@@ -162,48 +156,28 @@ class MQElem:
 
     # --- ring operations --------------------------------------------------
 
-    def _check_basis(self, other: "MQElem"):
-        if self.basis != other.basis:
-            raise ValueError("prime basis mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, MQElem):
-            return NotImplemented
-        self._check_basis(other)
-        out = dict(self.coeffs)
-        for subset, value in other.coeffs.items():
-            out[subset] = out.get(subset, Fraction(0)) + value
-        return MQElem._make(self.basis, out)
-
-    def __neg__(self):
-        return MQElem._make(self.basis, {s: -v for s, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MQElem):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, MQElem):
             return NotImplemented
-        self._check_basis(other)
+        self._check(other)
+        primes = self.parent.primes
         out = {}
-        for s, a in self.coeffs.items():
-            for t, b in other.coeffs.items():
+        for s, a in self.terms.items():
+            for t, b in other.terms.items():
                 factor = a * b
                 for i in s & t:
-                    factor *= self.basis.primes[i - 1]
+                    factor *= primes[i - 1]
                 key = s ^ t
                 acc = out.get(key)
                 out[key] = factor if acc is None else acc + factor
-        return MQElem._make(self.basis, out)
+        return MQElem._make(self.parent, out)
 
     def __pow__(self, exponent: int):
-        return charged_power(self, exponent, self.basis.one())
+        return charged_power(self, exponent, self.parent.one())
 
     def _words(self) -> int:
         return sum(
-            words(v.numerator) + words(v.denominator) for v in self.coeffs.values()
+            words(v.numerator) + words(v.denominator) for v in self.terms.values()
         )
 
     def inv(self) -> "MQElem":
@@ -213,60 +187,48 @@ class MQElem:
         lower indices, then a^-1 = (u - v*sqrt(p_k)) * (u^2 - v^2*p_k)^-1,
         recursing into the subfield; the base case inverts a rational.
         """
-        if not self.coeffs:
+        if not self.terms:
             raise ZeroDivisionError("cannot invert zero")
-        top = max((max(s) for s in self.coeffs if s), default=0)
+        basis = self.parent
+        top = max((max(s) for s in self.terms if s), default=0)
         if top == 0:
-            return MQElem._make(self.basis, {frozenset(): 1 / self.coeffs[frozenset()]})
+            return MQElem._make(basis, {frozenset(): 1 / self.terms[frozenset()]})
         lower = {}
         upper = {}
-        for subset, value in self.coeffs.items():
+        for subset, value in self.terms.items():
             if top in subset:
                 upper[subset - {top}] = value
             else:
                 lower[subset] = value
-        u = MQElem._make(self.basis, lower)
-        v = MQElem._make(self.basis, upper)
-        norm = u * u - v * v * self.basis.rational(self.basis.primes[top - 1])
+        u = MQElem._make(basis, lower)
+        v = MQElem._make(basis, upper)
+        norm = u * u - v * v * basis.rational(basis.primes[top - 1])
         if not norm:
             # impossible for a nonzero element of a field; guarded anyway
             raise ArithmeticError("conjugate norm vanished for a nonzero element")
         conj = dict(lower)
         for subset, value in upper.items():
             conj[subset | {top}] = -value
-        return MQElem._make(self.basis, conj) * norm.inv()
+        return MQElem._make(basis, conj) * norm.inv()
 
     # --- automorphisms ----------------------------------------------------
 
     def apply_f(self, i: int) -> "MQElem":
         """The automorphism f_i: negate sqrt(p_i), fix every other generator."""
-        self.basis.prime(i)  # validates the index
+        self.parent.prime(i)  # validates the index
         return self._flip({i})
 
     def _flip(self, indices) -> "MQElem":
         """Negate sqrt(p_i) for every i in the set `indices` of valid indices."""
         return MQElem._make(
-            self.basis,
-            {s: (-v if len(s & indices) % 2 else v) for s, v in self.coeffs.items()},
+            self.parent,
+            {s: (-v if len(s & indices) % 2 else v) for s, v in self.terms.items()},
         )
 
-    # --- comparison / hashing / rendering ---------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MQElem)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.coeffs.items())))
+    # --- rendering ----------------------------------------------------------
 
     def __str__(self):
         return render_terms(
-            (str(self.coeffs[subset]), "*".join(f"s{i}" for i in sorted(subset)))
-            for subset in sorted(self.coeffs, key=lambda s: tuple(sorted(s)))
+            (str(self.terms[subset]), "*".join(f"s{i}" for i in sorted(subset)))
+            for subset in sorted(self.terms, key=lambda s: tuple(sorted(s)))
         )
-
-    def __repr__(self):
-        return f"MQElem({self})"

@@ -113,7 +113,7 @@ class GroupElem:
     def twist(self, a: MQElem) -> MQElem:
         """Apply the induced field automorphism, f_i's sign flip for every odd
         exponent n_i, to a.  The coefficient basis must cover the support."""
-        self.check_within(len(a.basis))
+        self.check_within(len(a.parent))
         return a._flip({i for i, e in self.exps.items() if e % 2})
 
     # --- rendering ----------------------------------------------------------

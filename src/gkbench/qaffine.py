@@ -3,9 +3,10 @@ x_i x_j = q x_j x_i for i < j, with q the field's distinguished root of
 unity.  Words in the free generators reduce to a scalar multiple of the
 unique sorted monomial (every adjacent swap that moves a higher index left
 past a lower one costs a factor q**-1), and polynomials are canonical maps
-{exponent vector: nonzero scalar}.  Products skip the rewriting: sorting
-x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is that power of
-q**-1 times x^(e+f).  The rewriting (`normal_form`,
+{exponent vector: nonzero scalar}: a `ringops.TermSum` over the algebra,
+whose sum, negation and equality are the shared ones.  Products skip the
+rewriting: sorting x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is
+that power of q**-1 times x^(e+f).  The rewriting (`normal_form`,
 `normal_form_random`) stays only as the oracle that the `confluence`
 campaign and the tests compare the product against.  Likewise the
 dimension count dim V^r is the closed form C(n+r, r), charging the work
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import add
+from operator import add, attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycElem, CycField
-from .ringops import charged_power, render_terms
+from .ringops import TermSum, charged_power, render_terms
 from . import budget
 
 
@@ -160,10 +161,14 @@ def _rewrite(word: FreeWord, pick) -> "QPoly":
     return QPoly._make(alg, {tuple(exps): word.scalar.times_zeta(-swaps)})
 
 
-class QPoly:
-    """Canonical polynomial: {sorted-monomial exponent vector: nonzero scalar}."""
+class QPoly(TermSum):
+    """Canonical polynomial: {sorted-monomial exponent vector: nonzero scalar};
+    `algebra` is a read-only name for `parent`.  Unhashable."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
+    _mismatch = "algebra mismatch"
+    __hash__ = None
+    algebra = property(attrgetter("parent"))
 
     def __init__(self, algebra: QAlgebra, terms):
         clean = {}
@@ -179,56 +184,20 @@ class QPoly:
                 raise ValueError("coefficient outside the algebra's field")
             if coeff:
                 clean[exps] = coeff
-        self.algebra = algebra
+        self.parent = algebra
         self.terms = clean
-
-    @classmethod
-    def _make(cls, algebra: QAlgebra, terms: dict) -> "QPoly":
-        """Trusted constructor: well-formed terms, zero coefficients dropped."""
-        poly = object.__new__(cls)
-        poly.algebra = algebra
-        poly.terms = {e: c for e, c in terms.items() if c}
-        return poly
-
-    def _check_algebra(self, other: "QPoly"):
-        if self.algebra != other.algebra:
-            raise ValueError("algebra mismatch")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # --- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        self._check_algebra(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            out[exps] = coeff if acc is None else acc + coeff
-        return QPoly._make(self.algebra, out)
-
-    def __neg__(self):
-        return QPoly._make(self.algebra, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, value: CycElem) -> "QPoly":
-        if value.field != self.algebra.field:
+        if value.field != self.parent.field:
             raise ValueError("scalar outside the algebra's field")
-        return QPoly._make(self.algebra, {e: c * value for e, c in self.terms.items()})
+        return QPoly._make(self.parent, {e: c * value for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        self._check_algebra(other)
+        self._check(other)
         budget.charge(max(1, len(self.terms) * len(other.terms)))
         out = {}
         for e, a in self.terms.items():
@@ -242,7 +211,7 @@ class QPoly:
                 exps = tuple(map(add, e, f))
                 acc = out.get(exps)
                 out[exps] = coeff if acc is None else acc + coeff
-        return QPoly._make(self.algebra, out)
+        return QPoly._make(self.parent, out)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -251,26 +220,16 @@ class QPoly:
             scalar = self.as_scalar()
             if scalar is None:
                 raise ValueError("negative powers are only defined for scalars here")
-            return self.algebra.scalar(scalar**exponent)
-        return charged_power(self, exponent, self.algebra.one())
+            return self.parent.scalar(scalar**exponent)
+        return charged_power(self, exponent, self.parent.one())
 
     def as_scalar(self) -> Optional[CycElem]:
         """The scalar of a constant polynomial (zero included), else None."""
         if not self.terms:
-            return self.algebra.field.zero()
-        return self.terms.get((0,) * self.algebra.n) if len(self.terms) == 1 else None
+            return self.parent.field.zero()
+        return self.terms.get((0,) * self.parent.n) if len(self.terms) == 1 else None
 
-    def _words(self) -> int:
-        return sum(c._words() for c in self.terms.values())
-
-    # --- comparison / rendering ---------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPoly)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
+    # --- rendering ------------------------------------------------------------------
 
     def __str__(self):
         return render_terms(
@@ -284,9 +243,6 @@ class QPoly:
             )
             for exps in sorted(self.terms, reverse=True)  # x1-leading terms first
         )
-
-    def __repr__(self):
-        return f"QPoly({self})"
 
 
 # --- dimension counting -------------------------------------------------------
@@ -397,7 +353,7 @@ def hom_check(src: QAlgebra, dst: QAlgebra, images: Sequence[QPoly]) -> HomCheck
     if len(images) != src.n:
         raise ValueError(f"expected {src.n} generator images, got {len(images)}")
     for f in images:
-        if f.algebra != dst:
+        if f.parent != dst:
             raise ValueError("generator image lies outside the destination algebra")
     q_src = embed_root(src.field, dst.field)
     for i in range(1, src.n + 1):

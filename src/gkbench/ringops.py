@@ -1,4 +1,12 @@
-"""Helpers shared by the element types of every ring in the workbench."""
+"""Helpers shared by the element types of every ring in the workbench, and
+`TermSum`, the one sparse-sum core under `MQElem`, `TwistedElem` and `QPoly`.
+
+A `TermSum` is a finite sum  sum a_k * k  kept as a canonical map `terms`
+{key: nonzero coefficient} over a `parent` (a `PrimeBasis` or a `QAlgebra`).
+The additive group, equality, hashing and the trusted constructor are written
+here once; a subclass adds its validating `__init__`, its product, powers and
+inverse, and its rendering.
+"""
 
 from __future__ import annotations
 
@@ -59,3 +67,67 @@ def render_terms(terms) -> str:
         else:
             out = body if sign == "+" else "-" + body
     return out or "0"
+
+
+class TermSum:
+    """Canonical finite sum: `terms` maps each key to a nonzero coefficient,
+    all over one `parent`.  Values are immutable and operations pure.
+
+    A subclass sets `_mismatch`, the message when two operands have
+    different parents; the coefficients need `+`, unary `-`, `==`, `hash`
+    and `_words()`."""
+
+    __slots__ = ("parent", "terms")
+    _mismatch = "parent mismatch"
+
+    @classmethod
+    def _make(cls, parent, terms: dict):
+        """Trusted constructor: valid keys and coefficients; drops zeros."""
+        elem = object.__new__(cls)
+        elem.parent = parent
+        elem.terms = {k: c for k, c in terms.items() if c}
+        return elem
+
+    def _check(self, other):
+        if self.parent != other.parent:
+            raise ValueError(self._mismatch)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc = out.get(k)
+            out[k] = c if acc is None else acc + c
+        return self._make(self.parent, out)
+
+    def __neg__(self):
+        return self._make(self.parent, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.parent == other.parent
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.parent, frozenset(self.terms.items())))
+
+    def _words(self) -> int:
+        return sum(c._words() for c in self.terms.values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

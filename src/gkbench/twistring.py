@@ -9,26 +9,32 @@ about the construction reduces to finite data.  Centrality can be decided
 two ways: structurally (support made of squares, rational coefficients) or
 by commutation against the generators up to a caller-supplied index bound.
 
-The public constructor validates its terms (the basis must cover the support);
-ring operations build their canonical results directly.
+An element is a `ringops.TermSum` over its `PrimeBasis`, keyed by group
+elements, so the sum, negation, equality and hashing are the ones `MQElem`
+shares.  The public constructor validates its terms (the basis must cover
+the support); ring operations build their canonical results directly.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
+from operator import attrgetter
 
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
-from .ringops import charged_power, render_terms
+from .ringops import TermSum, charged_power, render_terms
 from . import budget
 
 _group_sort_key = cmp_to_key(lambda a, b: a.compare(b))
 
 
-class TwistedElem:
-    """Canonical finite sum {GroupElem: nonzero MQElem} over a shared basis."""
+class TwistedElem(TermSum):
+    """Canonical finite sum {GroupElem: nonzero MQElem} over a shared basis;
+    `basis` is a read-only name for `parent`."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    _mismatch = "prime basis mismatch"
+    basis = property(attrgetter("parent"))
 
     def __init__(self, basis: PrimeBasis, terms):
         clean = {}
@@ -36,20 +42,12 @@ class TwistedElem:
             if not isinstance(g, GroupElem):
                 raise TypeError("support elements must be GroupElems")
             g.check_within(len(basis))
-            if coeff.basis != basis:
+            if coeff.parent != basis:
                 raise ValueError("prime basis mismatch")
             if coeff:
                 clean[g] = coeff
-        self.basis = basis
+        self.parent = basis
         self.terms = clean
-
-    @classmethod
-    def _make(cls, basis: PrimeBasis, terms: dict) -> "TwistedElem":
-        """Trusted constructor: valid keys and coefficients; drops zeros."""
-        elem = object.__new__(cls)
-        elem.basis = basis
-        elem.terms = {g: c for g, c in terms.items() if c}
-        return elem
 
     # --- constructors -------------------------------------------------------
 
@@ -59,7 +57,7 @@ class TwistedElem:
 
     @classmethod
     def from_scalar(cls, coeff: MQElem) -> "TwistedElem":
-        return cls(coeff.basis, {GroupElem.identity(): coeff})
+        return cls(coeff.parent, {GroupElem.identity(): coeff})
 
     @classmethod
     def from_group(cls, basis: PrimeBasis, g: GroupElem) -> "TwistedElem":
@@ -71,51 +69,23 @@ class TwistedElem:
 
     # --- predicates -----------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_index(self) -> int:
         """Largest generator index appearing in the support or in any
         coefficient's radical subsets (0 for scalars and zero)."""
         top = 0
         for g, coeff in self.terms.items():
             top = max(top, g.max_index())
-            for subset in coeff.coeffs:
+            for subset in coeff.terms:
                 if subset:
                     top = max(top, max(subset))
         return top
 
     # --- ring operations --------------------------------------------------------
 
-    def _check_basis(self, other: "TwistedElem"):
-        if self.basis != other.basis:
-            raise ValueError("prime basis mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TwistedElem):
-            return NotImplemented
-        self._check_basis(other)
-        out = dict(self.terms)
-        for g, coeff in other.terms.items():
-            acc = out.get(g)
-            out[g] = coeff if acc is None else acc + coeff
-        return TwistedElem._make(self.basis, out)
-
-    def __neg__(self):
-        return TwistedElem._make(self.basis, {g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TwistedElem):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, TwistedElem):
             return NotImplemented
-        self._check_basis(other)
+        self._check(other)
         budget.charge(len(self.terms) * len(other.terms))
         out = {}
         for x, a in self.terms.items():
@@ -124,10 +94,10 @@ class TwistedElem:
                 contrib = a * x.twist(b)
                 acc = out.get(z)
                 out[z] = contrib if acc is None else acc + contrib
-        return TwistedElem._make(self.basis, out)
+        return TwistedElem._make(self.parent, out)
 
     def __pow__(self, exponent: int):
-        return charged_power(self, exponent, TwistedElem.one(self.basis))
+        return charged_power(self, exponent, TwistedElem.one(self.parent))
 
     def inv(self) -> "TwistedElem":
         """Inverse of a single term a*x: twist_inv(x)(a^-1) * x^-1.  General
@@ -139,10 +109,7 @@ class TwistedElem:
             )
         ((g, coeff),) = self.terms.items()
         ginv = g.inv()
-        return TwistedElem._make(self.basis, {ginv: ginv.twist(coeff.inv())})
-
-    def _words(self) -> int:
-        return sum(c._words() for c in self.terms.values())
+        return TwistedElem._make(self.parent, {ginv: ginv.twist(coeff.inv())})
 
     def commutator(self, other: "TwistedElem") -> "TwistedElem":
         return self * other - other * self
@@ -168,34 +135,22 @@ class TwistedElem:
             raise ValueError(
                 f"generator bound m={m} is smaller than the largest index {top}"
             )
-        if m > len(self.basis):
+        basis = self.parent
+        if m > len(basis):
             raise ValueError(
-                f"basis has {len(self.basis)} primes, fewer than the bound m={m}"
+                f"basis has {len(basis)} primes, fewer than the bound m={m}"
             )
         for i in range(1, m + 1):
-            radical = TwistedElem.from_scalar(self.basis.radical(i))
-            gen = TwistedElem.from_group(self.basis, GroupElem.generator(i))
+            radical = TwistedElem.from_scalar(basis.radical(i))
+            gen = TwistedElem.from_group(basis, GroupElem.generator(i))
             if self.commutator(radical) or self.commutator(gen):
                 return False
         return True
 
-    # --- comparison / rendering -------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedElem)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
+    # --- rendering ----------------------------------------------------------------
 
     def __str__(self):
         return render_terms(
             (str(self.terms[g]), "" if g.is_identity() else str(g))
             for g in sorted(self.terms, key=_group_sort_key)
         )
-
-    def __repr__(self):
-        return f"TwistedElem({self})"

@@ -9,11 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkbench.campaigns import run_campaign
+from gkbench.cyclo import CycField
 from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
+from gkbench.qaffine import QAlgebra, QPoly
+from gkbench.ringops import TermSum
 from gkbench.twistring import TwistedElem
 
 BASIS = PrimeBasis.first(4)  # 2, 3, 5, 7
+ALG = QAlgebra(2, CycField(2, 1))  # q = zeta_4
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 subsets_st = st.frozensets(st.integers(min_value=1, max_value=4), max_size=4)
@@ -29,6 +33,9 @@ twisted_st = st.dictionaries(group_st, mq_st, max_size=3).map(
 )
 index_st = st.integers(min_value=1, max_value=4)
 exponent_st = st.integers(min_value=-3, max_value=3)
+cyc_st = st.lists(fractions_st, min_size=2, max_size=2).map(ALG.field.element)
+exps_st = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+qpoly_st = st.dictionaries(exps_st, cyc_st, max_size=4).map(lambda terms: QPoly(ALG, terms))
 
 
 def assert_canonical_mq(r):
@@ -123,3 +130,59 @@ def test_fixed_field_campaign_replays_the_automorphisms(monkeypatch):
     records = run_campaign("field-axioms", {"trials": 50}, seed=0)
     (fixed,) = [r for r in records if r.claim_id == "field.fixed_field"]
     assert not fixed.passed
+
+
+@given(qpoly_st, qpoly_st, cyc_st)
+def test_qpoly_results_are_canonical(p, q, c):
+    for r in (p + q, p - q, p + q - q, -p, p.scale(c), p * q, p * q - q * p):
+        assert isinstance(r, QPoly) and r.parent == ALG
+        assert QPoly(ALG, r.terms) == r
+        assert all(len(e) == ALG.n and coeff for e, coeff in r.terms.items())
+
+
+SAMPLES = (
+    BASIS.element({(1, 2): 3, (): Fraction(1, 2)}),
+    TwistedElem(BASIS, {GroupElem.generator(1): BASIS.radical(2)}),
+    ALG.generator(1) + ALG.one(),
+)
+
+
+def test_sparse_types_share_one_core():
+    shared = ("_make", "__add__", "__neg__", "__sub__", "__eq__", "__bool__", "is_zero", "__repr__")
+    for cls in (MQElem, TwistedElem, QPoly):
+        assert issubclass(cls, TermSum)
+        assert not [name for name in cls.__dict__ if name in shared or name.startswith("_check")]
+    assert "_words" not in TwistedElem.__dict__ and "_words" not in QPoly.__dict__
+    for value in SAMPLES:
+        assert not hasattr(value, "__dict__")
+        assert repr(value) == f"{type(value).__name__}({value})"
+
+
+def test_public_names_are_read_only_views_of_the_storage():
+    mq, twisted, poly = SAMPLES
+    assert mq.basis is mq.parent is BASIS and mq.coeffs is mq.terms
+    assert twisted.basis is twisted.parent is BASIS
+    assert poly.algebra is poly.parent is ALG
+    for value, name in ((mq, "basis"), (mq, "coeffs"), (twisted, "basis"), (poly, "algebra")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_qpoly_stays_unhashable():
+    with pytest.raises(TypeError):
+        hash(ALG.one())
+    assert hash(SAMPLES[0]) == hash(MQElem(BASIS, SAMPLES[0].terms))
+
+
+def test_mismatch_messages():
+    other_basis = PrimeBasis.first(3)
+    other_alg = QAlgebra(2, CycField(3, 1))
+    pairs = (
+        (SAMPLES[0], other_basis.one(), "prime basis mismatch"),
+        (SAMPLES[1], TwistedElem.one(other_basis), "prime basis mismatch"),
+        (SAMPLES[2], other_alg.one(), "algebra mismatch"),
+    )
+    for a, b, message in pairs:
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                op()

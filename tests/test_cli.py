@@ -42,6 +42,34 @@ def test_verify_unknown_campaign_is_usage_error(capsys):
     assert "unknown campaign" in err
 
 
+@pytest.mark.parametrize("campaign", ["step4", "step4-oracle"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_step4_needs_a_positive_degree(capsys, campaign, n):
+    code, out, err = run(capsys, "verify", campaign, "--n", n)
+    assert (code, out, err) == (2, "", "error: degree must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "campaign, option, value",
+    [
+        ("tower", "p", "5"),
+        ("centrality", "n", "5"),
+        ("step3", "n", "2"),
+        ("step4", "p", "3"),
+        ("confluence", "rmax", "3"),
+    ],
+)
+def test_verify_rejects_an_option_its_campaign_does_not_read(capsys, campaign, option, value):
+    code, out, err = run(capsys, "verify", campaign, f"--{option}", value)
+    message = f"error: campaign {campaign!r} takes no parameter {option!r}\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_verify_all_hands_each_campaign_only_its_options(capsys):
+    code, _, err = run(capsys, "verify", "all", "--n", "3", "--p", "2", "--format", "machine")
+    assert (code, err) == (0, "")
+
+
 def test_gamma_coeff(capsys):
     code, out, _ = run(
         capsys,
