@@ -22,6 +22,7 @@ from .gammalab import (
     independence_witness,
     rn_basis_size,
     rn_dim_series,
+    rn_window,
 )
 from .growth import GrowthSeries, degree_estimate, slope_extract
 from .mqfield import PrimeBasis
@@ -183,8 +184,7 @@ def _campaign_step4_oracle(rng, queries=500, n=6):
 
 
 def _campaign_step8(rng, n=2, rmax=None):
-    rmax = 2 * n + 12 if rmax is None else rmax
-    r_lo = max(1, 2 * n)
+    r_lo, rmax = rn_window(n, rmax)
     series = GrowthSeries(rn_dim_series(n, rmax, r_lo))
     fit, records = affine_claims(
         (f"step8.slope.n{n:02d}", f"step8.degree.n{n:02d}"),

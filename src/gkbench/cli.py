@@ -19,6 +19,7 @@ from .gammalab import (
     independence_witness,
     rn_basis_size,
     rn_dim_series,
+    rn_window,
 )
 from .growth import GrowthSeries, degree_estimate, slope_extract
 from .mqfield import PrimeBasis
@@ -88,8 +89,8 @@ def _cmd_gamma_witness(args):
 
 def _cmd_gamma_growth(args):
     n = args.n
-    rmax = args.rmax if args.rmax is not None else 2 * n + 12
-    pairs = rn_dim_series(n, rmax, max(1, 2 * n))
+    r_lo, rmax = rn_window(n, args.rmax)
+    pairs = rn_dim_series(n, rmax, r_lo)
     if args.series_out:
         _write_series(args.series_out, pairs)
     _, records = affine_claims(

@@ -22,6 +22,7 @@ import itertools
 from math import comb, factorial
 from typing import NamedTuple
 
+from .growth import MIN_POINTS
 from .ordgroup import GroupElem
 from . import budget
 
@@ -161,6 +162,22 @@ def rn_basis_size(pairs: int) -> int:
     if pairs < 0:
         raise ValueError("pairs must be nonnegative")
     return 4**pairs
+
+
+def rn_window(pairs: int, r_max: int | None = None) -> tuple[int, int]:
+    """The (r_min, r_max) range that `verify step8` and `gamma growth` fit:
+    from r = max(1, 2n), where every binary part has entered the count and
+    rn_dim grows affinely, to r_max (default 2n + 12).  The fit needs
+    growth.MIN_POINTS points, so a shorter r_max raises ValueError."""
+    r_min = max(1, 2 * pairs)
+    r_max = 2 * pairs + 12 if r_max is None else r_max
+    least = r_min + MIN_POINTS - 1
+    if r_max < least:
+        raise ValueError(
+            f"rmax must be at least {least} for n = {pairs}: "
+            f"the fit needs {MIN_POINTS} points from r = {r_min}"
+        )
+    return r_min, r_max
 
 
 def rn_dim_series(pairs: int, r_max: int, r_min: int = 1) -> list[tuple[int, int]]:

@@ -1,26 +1,41 @@
 """Exact arithmetic in the multiquadratic tower Q(sqrt(p1), ..., sqrt(pn)).
 
-An element is a finite rational combination of square-free radical products
-sqrt(prod_{i in S} p_i), stored sparsely as a map {index subset S: rational}.
-The empty subset carries the rational part.  Multiplication uses
-sqrt(p_i) * sqrt(p_i) = p_i, so overlapping subsets contribute an integer
-prefactor and the symmetric difference of the subsets.
+Representation.  An element is a finite rational combination of the
+square-free radical products sqrt(p_S), p_S = prod_{i in S} p_i.  The index
+subset S is a bitmask (bit i-1 stands for sqrt(p_i); mask 0 is the rational
+part), and the coefficients are integer numerators `terms` {mask: nonzero
+int} over one positive denominator `den`, in lowest terms: gcd(den, *nums)
+= 1, and den = 1 for zero.  That form is canonical, so equality and hashing
+compare it directly.  `coeffs` gives the same element as {frozenset of
+indices: Fraction}.
 
-The field carries n commuting automorphisms: f_i negates sqrt(p_i) and fixes
-every other generator.  An element is fixed by all of them exactly when it is
-rational, which is the structural test `fixed_by_all` implements; the
-`field.fixed_field` campaign checks it against replaying the automorphisms.
+Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)), so a product
+adds x * y * pp[s & t] into out[s ^ t] for every pair of terms, multiplies
+the denominators, and brings the result to lowest terms with one gcd pass.
+`PrimeBasis.pp` memoises the prime products p_S as their masks turn up.
 
-An element is a `ringops.TermSum` over its `PrimeBasis`: `terms` maps index
-subsets to nonzero Fractions, and the sum, negation, equality and hashing
-are the shared ones.  `MQElem(basis, coeffs)` validates its input; ring
-operations build their canonical results directly.  Values are immutable
-and operations pure.
+Inverses.  Split off the highest radical: a = u + v*sqrt(p_k) with u, v over
+the lower indices; then a^-1 = (u - v*sqrt(p_k)) * (u^2 - v^2*p_k)^-1, and
+the norm u^2 - v^2*p_k is inverted in the subfield; the base case inverts a
+rational.
+
+Automorphisms.  f_i negates sqrt(p_i) and fixes every other generator, so it
+negates the terms whose mask has bit i-1 set.  An element is fixed by all of
+them exactly when it is rational, which is the structural test
+`fixed_by_all` implements; the `field.fixed_field` campaign checks it against
+replaying the automorphisms.
+
+An element is a `ringops.TermSum` over its `PrimeBasis`; it brings its own
+sum, negation, equality, hashing and sizes, which account for the shared
+denominator.  `MQElem(basis, coeffs)` validates its input; ring operations
+build their canonical results directly.  Values are immutable and
+operations pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 
 from .ringops import TermSum, charged_power, render_terms, words
@@ -52,10 +67,32 @@ def first_primes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class PrimeBasis:
-    """A strictly increasing tuple of distinct primes p_1 < p_2 < ... < p_n."""
+def _indices(mask: int) -> list[int]:
+    """The radical indices whose bits are set in mask, ascending."""
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
+
+
+class _PrimeProducts(dict):
+    """{mask: product of the primes whose bits are set}, filled on first use."""
 
     __slots__ = ("primes",)
+
+    def __init__(self, primes):
+        super().__init__({0: 1})
+        self.primes = primes
+
+    def __missing__(self, mask):
+        low = mask & -mask
+        value = self[mask ^ low] * self.primes[low.bit_length() - 1]
+        self[mask] = value
+        return value
+
+
+class PrimeBasis:
+    """A strictly increasing tuple of distinct primes p_1 < p_2 < ... < p_n;
+    `pp[mask]` is the product of the primes in a mask."""
+
+    __slots__ = ("primes", "pp")
 
     def __init__(self, primes):
         primes = tuple(int(p) for p in primes)
@@ -65,6 +102,7 @@ class PrimeBasis:
         if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError("primes must be strictly increasing with no duplicates")
         self.primes = primes
+        self.pp = _PrimeProducts(primes)
 
     @classmethod
     def first(cls, n: int) -> "PrimeBasis":
@@ -102,12 +140,13 @@ class PrimeBasis:
         return self.rational(1)
 
     def rational(self, value) -> "MQElem":
-        return MQElem._make(self, {frozenset(): Fraction(value)})
+        value = Fraction(value)
+        return MQElem._make(self, {0: value.numerator}, value.denominator)
 
     def radical(self, i: int) -> "MQElem":
         """sqrt(p_i) as an element."""
         self.prime(i)
-        return MQElem._make(self, {frozenset({i}): Fraction(1)})
+        return MQElem._make(self, {1 << (i - 1): 1})
 
     def element(self, coeffs) -> "MQElem":
         return MQElem(self, coeffs)
@@ -116,38 +155,63 @@ class PrimeBasis:
 class MQElem(TermSum):
     """Element of the multiquadratic field over a fixed PrimeBasis.
 
-    `terms` maps frozensets of radical indices to nonzero Fractions; the
-    canonical sparse form (zero coefficients dropped) makes equality
-    structural.  `basis` and `coeffs` are read-only names for `parent` and
-    `terms`.
+    `terms` maps radical masks to nonzero integer numerators over the
+    positive denominator `den`, in lowest terms (see the module docstring).
+    `basis` is a read-only name for `parent`, and `coeffs` a read-only
+    {frozenset: Fraction} view.
     """
 
-    __slots__ = ()
+    __slots__ = ("den",)
     _mismatch = "prime basis mismatch"
     basis = property(attrgetter("parent"))
-    coeffs = property(attrgetter("terms"))
 
     def __init__(self, basis: PrimeBasis, coeffs):
         n = len(basis)
         clean = {}
         for subset, value in dict(coeffs).items():
-            subset = frozenset(int(i) for i in subset)
+            mask = 0
             for i in subset:
+                i = int(i)
                 if not 1 <= i <= n:
                     raise IndexError(
                         f"radical index {i} outside basis range 1..{n}"
                     )
+                mask |= 1 << (i - 1)
             value = Fraction(value)
             if value:
-                clean[subset] = value
+                clean[mask] = value
+        den = lcm(*(v.denominator for v in clean.values()))
         self.parent = basis
-        self.terms = clean
+        self.terms = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
+        self.den = den
+
+    @classmethod
+    def _make(cls, parent, terms: dict, den: int = 1):
+        """Trusted constructor: integer numerators on valid masks over a
+        positive den; drops zeros and brings the value to lowest terms."""
+        terms = {k: c for k, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
+        elem = object.__new__(cls)
+        elem.parent = parent
+        elem.terms = terms
+        elem.den = den
+        return elem
+
+    @property
+    def coeffs(self) -> dict:
+        """{frozenset of radical indices: nonzero Fraction}, built on each read."""
+        den = self.den
+        return {frozenset(_indices(m)): Fraction(c, den) for m, c in self.terms.items()}
 
     # --- predicates ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        """True iff only the empty-subset (rational) component is present."""
-        return all(not s for s in self.terms)
+        """True iff only the mask-0 (rational) component is present."""
+        return not any(self.terms)
 
     def fixed_by_all(self) -> bool:
         """True iff every automorphism f_i fixes the element, i.e. iff it is
@@ -156,79 +220,96 @@ class MQElem(TermSum):
 
     # --- ring operations --------------------------------------------------
 
+    def __add__(self, other):
+        if not isinstance(other, MQElem):
+            return NotImplemented
+        self._check(other)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        out = {k: c * fa for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c * fb
+        return MQElem._make(self.parent, out, self.den * fa)
+
+    def __neg__(self):
+        return MQElem._make(self.parent, {k: -c for k, c in self.terms.items()}, self.den)
+
     def __mul__(self, other):
         if not isinstance(other, MQElem):
             return NotImplemented
         self._check(other)
-        primes = self.parent.primes
+        pp = self.parent.pp
         out = {}
-        for s, a in self.terms.items():
-            for t, b in other.terms.items():
-                factor = a * b
-                for i in s & t:
-                    factor *= primes[i - 1]
-                key = s ^ t
-                acc = out.get(key)
-                out[key] = factor if acc is None else acc + factor
-        return MQElem._make(self.parent, out)
+        get = out.get
+        for s, x in self.terms.items():
+            for t, y in other.terms.items():
+                k = s ^ t
+                out[k] = get(k, 0) + x * y * pp[s & t]
+        return MQElem._make(self.parent, out, self.den * other.den)
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, self.parent.one())
 
-    def _words(self) -> int:
-        return sum(
-            words(v.numerator) + words(v.denominator) for v in self.terms.values()
+    def __eq__(self, other):
+        return (
+            isinstance(other, MQElem)
+            and self.parent == other.parent
+            and self.den == other.den
+            and self.terms == other.terms
         )
 
-    def inv(self) -> "MQElem":
-        """Multiplicative inverse by recursive conjugation.
+    def __hash__(self):
+        return hash((self.parent, self.den, frozenset(self.terms.items())))
 
-        Split off the highest radical: a = u + v*sqrt(p_k) with u, v over the
-        lower indices, then a^-1 = (u - v*sqrt(p_k)) * (u^2 - v^2*p_k)^-1,
-        recursing into the subfield; the base case inverts a rational.
-        """
+    def _words(self) -> int:
+        """Words of each coefficient's numerator and denominator in lowest
+        terms, as if it were a Fraction of its own."""
+        den = self.den
+        total = 0
+        for c in self.terms.values():
+            g = gcd(c, den)
+            total += words(c // g) + words(den // g)
+        return total
+
+    def inv(self) -> "MQElem":
+        """Multiplicative inverse by recursive conjugation (module docstring)."""
         if not self.terms:
             raise ZeroDivisionError("cannot invert zero")
-        basis = self.parent
-        top = max((max(s) for s in self.terms if s), default=0)
+        basis, den = self.parent, self.den
+        top = max(self.terms).bit_length()
         if top == 0:
-            return MQElem._make(basis, {frozenset(): 1 / self.terms[frozenset()]})
-        lower = {}
-        upper = {}
-        for subset, value in self.terms.items():
-            if top in subset:
-                upper[subset - {top}] = value
-            else:
-                lower[subset] = value
-        u = MQElem._make(basis, lower)
-        v = MQElem._make(basis, upper)
+            (c,) = self.terms.values()
+            return MQElem._make(basis, {0: den if c > 0 else -den}, abs(c))
+        bit = 1 << (top - 1)
+        u = MQElem._make(basis, {s: c for s, c in self.terms.items() if not s & bit}, den)
+        v = MQElem._make(basis, {s ^ bit: c for s, c in self.terms.items() if s & bit}, den)
         norm = u * u - v * v * basis.rational(basis.primes[top - 1])
         if not norm:
             # impossible for a nonzero element of a field; guarded anyway
             raise ArithmeticError("conjugate norm vanished for a nonzero element")
-        conj = dict(lower)
-        for subset, value in upper.items():
-            conj[subset | {top}] = -value
-        return MQElem._make(basis, conj) * norm.inv()
+        return self._flip(bit) * norm.inv()
 
     # --- automorphisms ----------------------------------------------------
 
     def apply_f(self, i: int) -> "MQElem":
         """The automorphism f_i: negate sqrt(p_i), fix every other generator."""
         self.parent.prime(i)  # validates the index
-        return self._flip({i})
+        return self._flip(1 << (i - 1))
 
-    def _flip(self, indices) -> "MQElem":
-        """Negate sqrt(p_i) for every i in the set `indices` of valid indices."""
+    def _flip(self, mask: int) -> "MQElem":
+        """Negate sqrt(p_i) for every index i whose bit is set in mask."""
+        if not mask:
+            return self
         return MQElem._make(
             self.parent,
-            {s: (-v if len(s & indices) % 2 else v) for s, v in self.terms.items()},
+            {s: -c if (s & mask).bit_count() & 1 else c for s, c in self.terms.items()},
+            self.den,
         )
 
     # --- rendering ----------------------------------------------------------
 
     def __str__(self):
         return render_terms(
-            (str(self.terms[subset]), "*".join(f"s{i}" for i in sorted(subset)))
-            for subset in sorted(self.terms, key=lambda s: tuple(sorted(s)))
+            (str(Fraction(self.terms[m], self.den)), "*".join(f"s{i}" for i in _indices(m)))
+            for m in sorted(self.terms, key=_indices)
         )

@@ -114,7 +114,7 @@ class GroupElem:
         """Apply the induced field automorphism, f_i's sign flip for every odd
         exponent n_i, to a.  The coefficient basis must cover the support."""
         self.check_within(len(a.parent))
-        return a._flip({i for i, e in self.exps.items() if e % 2})
+        return a._flip(sum(1 << (i - 1) for i, e in self.exps.items() if e % 2))
 
     # --- rendering ----------------------------------------------------------
 

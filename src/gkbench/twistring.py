@@ -74,10 +74,7 @@ class TwistedElem(TermSum):
         coefficient's radical subsets (0 for scalars and zero)."""
         top = 0
         for g, coeff in self.terms.items():
-            top = max(top, g.max_index())
-            for subset in coeff.terms:
-                if subset:
-                    top = max(top, max(subset))
+            top = max(top, g.max_index(), max(coeff.terms, default=0).bit_length())
         return top
 
     # --- ring operations --------------------------------------------------------

@@ -80,6 +80,20 @@ def test_gamma_coeff(capsys):
     assert machine_lines(out)[0]["outputs"]["coefficient"] == 24
 
 
+@pytest.mark.parametrize("command", [("verify", "step8"), ("gamma", "growth")])
+@pytest.mark.parametrize("rmax", ["3", "4", "8"])
+def test_short_rmax_names_the_fit_window(capsys, command, rmax):
+    code, out, err = run(capsys, *command, "--n", "2", "--rmax", rmax)
+    message = "error: rmax must be at least 9 for n = 2: the fit needs 6 points from r = 4\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", [("verify", "step8"), ("gamma", "growth")])
+def test_shortest_rmax_is_accepted(capsys, command):
+    code, _, err = run(capsys, *command, "--n", "2", "--rmax", "9")
+    assert (code, err) == (0, "")
+
+
 def test_gamma_coeff_rejects_bad_target(capsys):
     code, _, err = run(capsys, "gamma", "coeff", "--power", "1", "x1")
     assert code == 2

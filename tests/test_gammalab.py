@@ -15,8 +15,9 @@ from gkbench.gammalab import (
     rn_basis_size,
     rn_dim,
     rn_dim_series,
+    rn_window,
 )
-from gkbench.growth import GrowthSeries, degree_estimate
+from gkbench.growth import MIN_POINTS, GrowthSeries, degree_estimate
 from gkbench.ordgroup import GroupElem
 
 
@@ -182,6 +183,16 @@ def test_rn_dim_validation():
         rn_dim(-1, 3)
     with pytest.raises(ValueError):
         rn_dim_series(2, 0)
+
+
+def test_rn_window_holds_just_enough_points_for_the_fit():
+    for pairs, least in ((0, 6), (1, 7), (2, 9), (3, 11)):
+        r_min, r_max = rn_window(pairs, least)
+        assert r_max - r_min + 1 == MIN_POINTS
+        degree_estimate(GrowthSeries(rn_dim_series(pairs, r_max, r_min)))
+        with pytest.raises(ValueError, match=f"^rmax must be at least {least} for n = {pairs}: "):
+            rn_window(pairs, least - 1)
+    assert rn_window(2) == (4, 16)
 
 
 def test_gamma_coeff_charges_its_factorials():
