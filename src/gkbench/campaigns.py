@@ -24,7 +24,8 @@ from .gammalab import (
     rn_dim_series,
     rn_window,
 )
-from .growth import GrowthSeries, degree_estimate, slope_extract
+from .claims import affine_claims, degree_claim, hom_claim
+from .growth import GrowthSeries
 from .mqfield import PrimeBasis
 from .ordgroup import GroupElem
 from .qaffine import (
@@ -56,63 +57,6 @@ def _random_composition(rng, total: int, parts: int) -> list[int]:
     for _ in range(total - parts):
         counts[rng.randrange(parts)] += 1
     return counts
-
-
-# degree estimates are taken over one generating subspace (1 plus the
-# generators); for the finitely generated algebras here that single choice
-# already determines the growth degree
-_SUBSPACE_NOTE = (
-    "degree measured on the span of 1 and the generators; a single "
-    "generating subspace suffices for these finitely generated algebras"
-)
-
-
-def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: int):
-    """(estimate, record): the record claiming that `series` grows with
-    degree `expected`."""
-    t0 = time.perf_counter()
-    est = degree_estimate(series)
-    return est, _mk(
-        claim_id,
-        inputs,
-        {
-            "degree": est.label,
-            "raw": round(est.raw, 4),
-            "expected": expected,
-            "note": _SUBSPACE_NOTE,
-        },
-        est.snapped == expected and not est.unbounded,
-        t0,
-    )
-
-
-def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slope: int):
-    """(fit, records): the records claiming that `series` is eventually
-    slope * r + offset and that its degree is 1, under the two claim ids."""
-    t0 = time.perf_counter()
-    fit = slope_extract(series)
-    record = _mk(
-        ids[0],
-        inputs,
-        {
-            "slope": fit.slope if fit else "nonlinear",
-            "offset": fit.offset if fit else None,
-            "expected_slope": slope,
-        },
-        fit is not None and fit.slope == slope,
-        t0,
-    )
-    return fit, [record, degree_claim(ids[1], inputs, series, 1)[1]]
-
-
-def hom_claim(claim_id: str, inputs: dict, report, breaks=None, *, started: float) -> Record:
-    """The record of a hom_check report: it passes when the map is a ring
-    map or, given `breaks`, when the map fails exactly on that relation.
-    `started` is the perf_counter reading taken before the check ran."""
-    defect = str(report.defect) if report.defect else None
-    outputs = {"ok": report.ok, "failing_pair": list(report.failing_pair or ()), "defect": defect}
-    ok = report.ok if breaks is None else not report.ok and report.failing_pair == breaks
-    return _mk(claim_id, inputs, outputs, ok, started)
 
 
 # --- gamma -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands compute with the library and emit Record streams in the human
-or machine report format; `verify` runs the named campaigns.  Exit status
-is 0 when every emitted record passes, 1 when any fails, 2 on bad input.
+Each subcommand imports the modules it runs, when it runs, and emits Record
+streams (human or machine format); `verify` runs the named campaigns.  Exit
+status: 0 if every emitted record passes, 1 if any fails, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -12,37 +12,14 @@ import sys
 import time
 
 from . import budget
-from .campaigns import affine_claims, campaign_names, degree_claim, hom_claim, run_campaign
-from .cyclo import CycField
-from .gammalab import (
-    gamma_coeff,
-    independence_witness,
-    rn_basis_size,
-    rn_dim_series,
-    rn_window,
-)
-from .growth import GrowthSeries, degree_estimate, slope_extract
-from .mqfield import PrimeBasis
-from .parser import (
-    ParseError,
-    max_symbol_index,
-    parse,
-    to_field,
-    to_group,
-    to_quantum,
-    to_twisted,
-)
-from .qaffine import (
-    QAlgebra,
-    gk_profile,
-    hom_check,
-    power_map_images,
-)
 from .reports import all_passed, emit, timed_record
 
 
-def _algebra(args) -> QAlgebra:
-    return QAlgebra(args.n, CycField(args.p, args.t))
+def _algebra(n: int, p: int, t: int):
+    from .cyclo import CycField
+    from .qaffine import QAlgebra
+
+    return QAlgebra(n, CycField(p, t))
 
 
 def _write_series(path: str, pairs) -> None:
@@ -55,6 +32,9 @@ def _write_series(path: str, pairs) -> None:
 
 
 def _cmd_gamma_coeff(args):
+    from .gammalab import gamma_coeff
+    from .parser import parse, to_group
+
     t0 = time.perf_counter()
     target = to_group(parse(args.target, "group"))
     value = gamma_coeff(args.power, target)
@@ -70,6 +50,8 @@ def _cmd_gamma_coeff(args):
 
 
 def _cmd_gamma_witness(args):
+    from .gammalab import independence_witness
+
     t0 = time.perf_counter()
     witness = independence_witness(args.degree)
     return [
@@ -88,6 +70,10 @@ def _cmd_gamma_witness(args):
 
 
 def _cmd_gamma_growth(args):
+    from .claims import affine_claims
+    from .gammalab import rn_basis_size, rn_dim_series, rn_window
+    from .growth import GrowthSeries
+
     n = args.n
     r_lo, rmax = rn_window(n, args.rmax)
     pairs = rn_dim_series(n, rmax, r_lo)
@@ -103,7 +89,9 @@ def _cmd_gamma_growth(args):
 
 
 def _cmd_quantum_nf(args):
-    alg = _algebra(args)
+    from .parser import parse, to_quantum
+
+    alg = _algebra(args.n, args.p, args.t)
     t0 = time.perf_counter()
     poly = to_quantum(parse(args.expr, "quantum"), alg)
     return [
@@ -118,7 +106,9 @@ def _cmd_quantum_nf(args):
 
 
 def _cmd_quantum_mul(args):
-    alg = _algebra(args)
+    from .parser import parse, to_quantum
+
+    alg = _algebra(args.n, args.p, args.t)
     t0 = time.perf_counter()
     lhs = to_quantum(parse(args.lhs, "quantum"), alg)
     rhs = to_quantum(parse(args.rhs, "quantum"), alg)
@@ -134,15 +124,18 @@ def _cmd_quantum_mul(args):
 
 
 def _cmd_quantum_growth(args):
-    alg = _algebra(args)
-    rmax = args.rmax if args.rmax is not None else 12
-    pairs = gk_profile(alg, rmax)
+    from .claims import degree_claim
+    from .growth import GrowthSeries
+    from .qaffine import gk_profile
+
+    alg = _algebra(args.n, args.p, args.t)
+    pairs = gk_profile(alg, args.rmax)
     if args.series_out:
         _write_series(args.series_out, pairs)
     return [
         degree_claim(
             "quantum.growth.degree",
-            {"n": args.n, "p": args.p, "t": args.t, "rmax": rmax},
+            {"n": args.n, "p": args.p, "t": args.t, "rmax": args.rmax},
             GrowthSeries(pairs),
             args.n,
         )[1]
@@ -150,11 +143,15 @@ def _cmd_quantum_growth(args):
 
 
 def _cmd_quantum_hom_check(args):
-    dst = _algebra(args)
+    from .claims import hom_claim
+    from .parser import parse, to_quantum
+    from .qaffine import hom_check, power_map_images
+
+    dst = _algebra(args.n, args.p, args.t)
     src_t = args.src_t if args.src_t is not None else args.t - 1
     if src_t < 0:
         raise ValueError("source level must be nonnegative")
-    src = QAlgebra(args.n, CycField(args.p, src_t))
+    src = _algebra(args.n, args.p, src_t)
     t0 = time.perf_counter()
     if args.images is not None:
         images = [
@@ -176,6 +173,8 @@ def _cmd_quantum_hom_check(args):
 
 
 def _cmd_growth_estimate(args):
+    from .growth import GrowthSeries, degree_estimate, slope_extract
+
     t0 = time.perf_counter()
     if args.series == "-":
         series = GrowthSeries.from_text(sys.stdin.read())
@@ -216,6 +215,8 @@ def _cmd_growth_estimate(args):
 
 
 def _cmd_eval(args):
+    from .parser import max_symbol_index, parse, to_field, to_group, to_quantum, to_twisted
+
     t0 = time.perf_counter()
     node = parse(args.expr, args.context)
     # an explicit --primes or --n wins, zero included; otherwise the
@@ -225,10 +226,11 @@ def _cmd_eval(args):
         value = to_group(node)
     elif args.context == "quantum":
         n = max(1, gens) if args.n is None else args.n
-        value = to_quantum(node, QAlgebra(n, CycField(args.p, args.t)))
+        value = to_quantum(node, _algebra(n, args.p, args.t))
     else:
         twisted = args.context == "twisted"
         size = max(1, max_symbol_index(node, "radical"), gens if twisted else 0)
+        from .mqfield import PrimeBasis
         basis = PrimeBasis.first(size if args.primes is None else args.primes)
         value = (to_twisted if twisted else to_field)(node, basis)
     return [
@@ -243,11 +245,9 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
-    params = {}
-    for key in ("n", "p", "t", "rmax"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    from .campaigns import run_campaign
+
+    params = {k: getattr(args, k) for k in ("n", "p", "t", "rmax") if getattr(args, k) is not None}
     return run_campaign(args.campaign, params, seed=args.seed)
 
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     q_mul.set_defaults(handler=_cmd_quantum_mul)
 
     q_growth = _q("growth", "dimension growth and degree estimate")
-    q_growth.add_argument("--rmax", type=int)
+    q_growth.add_argument("--rmax", type=int, default=12)
     q_growth.add_argument("--series-out", metavar="FILE")
     q_growth.set_defaults(handler=_cmd_quantum_growth)
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(handler=_cmd_eval)
 
     ver = sub.add_parser("verify", parents=[common], help="run a verification campaign")
-    ver.add_argument("campaign", help=f"one of: {', '.join(campaign_names())}")
+    ver.add_argument("campaign", help="a campaign name, or all; an unknown name lists them")
     ver.add_argument("--n", type=int)
     ver.add_argument("--p", type=int)
     ver.add_argument("--t", type=int)
@@ -357,10 +357,8 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-    except budget.WorkBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError, IndexError, ZeroDivisionError, OSError) as exc:
+    except (budget.WorkBudgetExceeded, ValueError, IndexError,
+            ZeroDivisionError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

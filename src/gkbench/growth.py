@@ -53,7 +53,10 @@ class GrowthSeries:
             pieces = line.split(",")
             if len(pieces) != 2:
                 raise ValueError(f"line {lineno}: expected 'r,dim', got {line!r}")
-            pts.append((int(pieces[0]), int(pieces[1])))
+            try:
+                pts.append((int(pieces[0]), int(pieces[1])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers 'r,dim', got {line!r}") from None
         return cls(pts)
 
     @classmethod

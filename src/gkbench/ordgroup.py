@@ -10,7 +10,10 @@ the action of the squares subgroup trivial.
 
 from __future__ import annotations
 
-from .mqfield import MQElem
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .mqfield import MQElem
 
 LT, EQ, GT = -1, 0, 1
 

@@ -23,12 +23,14 @@ their monomials in closed form, so `quantum nf` needs no word rewriting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
-from .twistring import TwistedElem
-from .qaffine import QAlgebra, QPoly
+
+if TYPE_CHECKING:  # annotations only: a context loads its value types itself
+    from .mqfield import MQElem, PrimeBasis
+    from .qaffine import QAlgebra, QPoly
+    from .twistring import TwistedElem
 
 CONTEXTS = ("field", "group", "twisted", "quantum")
 
@@ -355,6 +357,8 @@ def to_group(node) -> GroupElem:
 
 
 def to_twisted(node, basis: PrimeBasis) -> TwistedElem:
+    from .twistring import TwistedElem
+
     def leaf(n):
         if isinstance(n, Lit):
             return TwistedElem.from_scalar(basis.rational(n.value))

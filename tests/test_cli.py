@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gkbench import budget
-from gkbench.campaigns import run_campaign
+from gkbench.campaigns import campaign_names, run_campaign
 from gkbench.cli import main
 from gkbench.gammalab import rn_dim
 
@@ -40,6 +40,13 @@ def test_verify_unknown_campaign_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "does-not-exist")
     assert code == 2
     assert "unknown campaign" in err
+    # the error is where the names are listed: `verify --help` leaves them out
+    for name in campaign_names():
+        assert name in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert "campaign" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("campaign", ["step4", "step4-oracle"])

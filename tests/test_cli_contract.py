@@ -97,15 +97,77 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path):
         assert str(target) in lines[0]
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
+# Imports gkbench.cli, runs main(argv) when argv is given, then prints the exit
+# status and the gkbench and heavy stdlib modules the interpreter has loaded.
+_LOAD_PROBE = """
+import sys
+import gkbench.cli
+code = None
+if sys.argv[1:]:
+    import contextlib, io
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gkbench.cli.main(sys.argv[1:])
+heavy = ("gkbench", "dataclasses", "inspect")
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in heavy))
+"""
+
+
+def _loaded(*argv, stdin=None):
+    """(exit status or None, set of loaded modules) of one fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, gkbench.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", _LOAD_PROBE, *argv], input=stdin,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code, *modules = proc.stdout.split()
+    return code, set(modules)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    code, modules = _loaded()
+    assert code == "None"
+    assert modules == {"gkbench", "gkbench.budget", "gkbench.reports", "gkbench.cli"}
+
+
+_SERIES = "".join(f"{r},{r * r + 1}\n" for r in range(1, 13))
+
+
+# Each request and the gkbench modules it must not load.  Only `verify`
+# loads the campaigns and their samplers.
+_REQUESTS = [
+    (("growth", "estimate", "-"), {"parser", "mqfield", "cyclo"}),
+    (("eval", "--context", "group", "x1^2*x2^-1"), {"cyclo", "qaffine", "mqfield"}),
+    (("gamma", "coeff", "--power", "4", "x1^-2*x2^-2"), {"cyclo", "qaffine", "mqfield"}),
+    (("gamma", "witness", "--degree", "3"), {"parser", "cyclo", "qaffine", "mqfield"}),
+    (("gamma", "growth", "--n", "1"), {"parser", "cyclo", "qaffine", "mqfield"}),
+    (("eval", "--context", "field", "s1 + 1/2"), {"cyclo", "qaffine", "twistring"}),
+    (("eval", "--context", "twisted", "x1*s1"), {"cyclo", "qaffine"}),
+    (("eval", "--context", "quantum", "x2*x1"), {"twistring"}),
+    (("quantum", "nf", "--n", "2", "x2*x1"), {"twistring"}),
+    (("quantum", "growth", "--n", "2", "--rmax", "8"), {"parser", "twistring"}),
+    (("quantum", "hom-check", "--n", "2"), {"twistring"}),
+    (("verify", "step4", "--n", "2"), set()),
+]
+
+
+@pytest.mark.parametrize("argv, absent", _REQUESTS, ids=[" ".join(a) for a, _ in _REQUESTS])
+def test_each_request_loads_only_the_modules_it_runs(argv, absent):
+    code, modules = _loaded(*argv, stdin=_SERIES)
+    assert code == "0"
+    assert not {"dataclasses", "inspect"} & modules
+    assert not {f"gkbench.{name}" for name in absent} & modules
+    campaigns = {"gkbench.campaigns", "gkbench.sampling"}
+    assert campaigns & modules == (campaigns if argv[0] == "verify" else set())
+
+
+def test_growth_series_with_a_non_integer_field_names_its_line(tmp_path):
+    path = tmp_path / "series.txt"
+    path.write_text("1,2\n2,x\n", encoding="utf-8")
+    proc = _cli("growth", "estimate", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: line 2: expected integers 'r,dim', got '2,x'"]
 
 
 @pytest.mark.parametrize("expr", ["x7", "x7*s1", "s1*x7"])

@@ -31,8 +31,10 @@ def test_series_validation():
 def test_from_text():
     s = GrowthSeries.from_text("# comment\n1,2\n2,3\n\n3,5\n")
     assert s.points == ((1, 2), (2, 3), (3, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 1: expected 'r,dim', got '1 2'"):
         GrowthSeries.from_text("1 2\n")
+    with pytest.raises(ValueError, match="line 3: expected integers 'r,dim', got '2,x'"):
+        GrowthSeries.from_text("1,2\n# comment\n2,x\n")
 
 
 def test_degree_binomial_snaps_to_two():
