@@ -1,17 +1,18 @@
 """Named verification campaigns.
 
-Each campaign re-checks one family of the package's headline identities and
-yields one Record per sub-check.  Campaigns are deterministic given a seed
-(timings excepted) and the returned stream is ordered by claim id.  A
-campaign takes its rng and then its parameters as keywords with defaults;
-that signature is the one place that knows which parameters it reads.
+Each campaign re-checks one family of the package's headline identities.
+It is a generator that yields one untimed Record per sub-check;
+`run_campaign` stamps their `millis` with `reports.timed` and returns them
+ordered by claim id.  Campaigns are deterministic given a seed (timings
+excepted).  A campaign takes its rng and then its parameters as keywords
+with defaults; that signature is the one place that knows which parameters
+it reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import time
 from math import factorial
 
 from . import budget
@@ -40,7 +41,7 @@ from .qaffine import (
     power_is_central,
     power_map_images,
 )
-from .reports import Record, timed_record as _mk
+from .reports import Record, record as _mk, timed
 from .sampling import (
     random_central_twisted,
     random_fraction,
@@ -66,39 +67,28 @@ def _campaign_step4(rng, n=6):
     # row n of the witness holds the coefficients of x1^-1*...*xn^-1 in
     # gamma^0..gamma^n_max: n! on the diagonal, zero elsewhere
     n_max = n  # the loop below counts n up to it
-    t0 = time.perf_counter()
     matrix = independence_witness(n_max).matrix
-    records = []
     for n in range(1, n_max + 1):
         target = str(GroupElem({i: -1 for i in range(1, n + 1)}))
         value = matrix[n][n]
         nonzero = sum(1 for k, v in enumerate(matrix[n]) if v and k != n)
-        records.append(
-            _mk(
-                f"step4.n_factorial.n{n:02d}",
-                {"power": n, "target": target},
-                {"coefficient": value, "expected": factorial(n)},
-                value == factorial(n),
-                t0,
-            )
+        yield _mk(
+            f"step4.n_factorial.n{n:02d}",
+            {"power": n, "target": target},
+            {"coefficient": value, "expected": factorial(n)},
+            value == factorial(n),
         )
-        records.append(
-            _mk(
-                f"step4.zero_offdiagonal.n{n:02d}",
-                {"target": target, "powers": f"0..{n_max} except {n}"},
-                {"nonzero": nonzero},
-                nonzero == 0,
-                t0,
-            )
+        yield _mk(
+            f"step4.zero_offdiagonal.n{n:02d}",
+            {"target": target, "powers": f"0..{n_max} except {n}"},
+            {"nonzero": nonzero},
+            nonzero == 0,
         )
-        t0 = time.perf_counter()  # the witness's time goes to the n = 1 pair
-    return records
 
 
 def _campaign_step4_oracle(rng, queries=500, n=6):
     if n < 1:
         raise ValueError("degree must be at least 1")
-    t0 = time.perf_counter()
     agree = 0
     mismatches = []
     for _ in range(queries):
@@ -116,15 +106,12 @@ def _campaign_step4_oracle(rng, queries=500, n=6):
             agree += 1
         elif len(mismatches) < 5:
             mismatches.append({"power": power, "target": str(target)})
-    return [
-        _mk(
-            "step4.oracle_agreement",
-            {"queries": queries, "max_power": n},
-            {"agreements": agree, "mismatches": mismatches},
-            agree == queries,
-            t0,
-        )
-    ]
+    yield _mk(
+        "step4.oracle_agreement",
+        {"queries": queries, "max_power": n},
+        {"agreements": agree, "mismatches": mismatches},
+        agree == queries,
+    )
 
 
 def _campaign_step8(rng, n=2, rmax=None):
@@ -136,22 +123,18 @@ def _campaign_step8(rng, n=2, rmax=None):
         series,
         4**n,
     )
-    t0 = time.perf_counter()
+    yield from records
     size = rn_basis_size(n)
     listed = 0  # second route: list the binary parts (e, u), one op each
     for _ in itertools.product((0, 1), repeat=2 * n):
         budget.charge()
         listed += 1
-    records.append(
-        _mk(
-            f"step8.basis_size.n{n:02d}",
-            {"pairs": n},
-            {"size": size},
-            size == 4**n and listed == size and (fit is None or fit.slope == size),
-            t0,
-        )
+    yield _mk(
+        f"step8.basis_size.n{n:02d}",
+        {"pairs": n},
+        {"size": size},
+        size == 4**n and listed == size and (fit is None or fit.slope == size),
     )
-    return records
 
 
 # --- quantum affine ---------------------------------------------------------
@@ -159,78 +142,57 @@ def _campaign_step8(rng, n=2, rmax=None):
 
 def _campaign_lemma51(rng, n=3, p=2, t=1, rmax=12):
     alg = QAlgebra(n, CycField(p, t))
-    t0 = time.perf_counter()
     mismatches = [r for r in range(rmax + 1) if dim_Vr(alg, r) != dim_Vr_oracle(alg, r)]
     inputs = {"n": n, "p": p, "t": t, "rmax": rmax}
-    return [
-        _mk(
-            "lemma5.1.dim_formula",
-            inputs,
-            {"checked": rmax + 1, "mismatches": mismatches},
-            not mismatches,
-            t0,
-        ),
-        degree_claim("lemma5.1.growth", inputs, GrowthSeries(gk_profile(alg, rmax)), n)[1],
-    ]
+    yield _mk(
+        "lemma5.1.dim_formula",
+        inputs,
+        {"checked": rmax + 1, "mismatches": mismatches},
+        not mismatches,
+    )
+    yield degree_claim("lemma5.1.growth", inputs, GrowthSeries(gk_profile(alg, rmax)), n)[1]
 
 
 _CENTRALITY_GRID = ((2, 1), (2, 2), (3, 1))
 
 
 def _campaign_centrality(rng):
-    records = []
     for p, t in _CENTRALITY_GRID:
         order = p ** (2 * t)
         for n in (2, 3):
             alg = QAlgebra(n, CycField(p, t))
-            t0 = time.perf_counter()
             ok = all(central_power_check(alg, i) for i in range(1, n + 1))
-            records.append(
-                _mk(
-                    f"lemma5.1.central_power.p{p:02d}.t{t:02d}.n{n:02d}",
-                    {"p": p, "t": t, "n": n, "power": order},
-                    {"all_generators_central": ok},
-                    ok,
-                    t0,
-                )
+            yield _mk(
+                f"lemma5.1.central_power.p{p:02d}.t{t:02d}.n{n:02d}",
+                {"p": p, "t": t, "n": n, "power": order},
+                {"all_generators_central": ok},
+                ok,
             )
-            t0 = time.perf_counter()
             lows = sorted(
                 {1, 2, p, p**t, p ** (2 * t - 1), order - 1} & set(range(1, order))
             )
             bad = [k for k in lows if power_is_central(alg, 1, k)]
-            records.append(
-                _mk(
-                    f"lemma5.1.noncentral.p{p:02d}.t{t:02d}.n{n:02d}",
-                    {"p": p, "t": t, "n": n, "powers": lows},
-                    {"unexpectedly_central": bad},
-                    not bad,
-                    t0,
-                )
+            yield _mk(
+                f"lemma5.1.noncentral.p{p:02d}.t{t:02d}.n{n:02d}",
+                {"p": p, "t": t, "n": n, "powers": lows},
+                {"unexpectedly_central": bad},
+                not bad,
             )
-    return records
 
 
 def _campaign_lemma53(rng):
-    records = []
     for p in (2, 3):
         for t in (1, 2):
             for n in (2, 3):
                 src = QAlgebra(n, CycField(p, t - 1))
                 dst = QAlgebra(n, CycField(p, t))
-                t0 = time.perf_counter()
                 report = hom_check(src, dst, power_map_images(src, dst, p))
                 inputs = {"p": p, "src_t": t - 1, "dst_t": t, "n": n, "map": f"x_i -> x_i^{p}"}
-                claim = f"lemma5.3.hom.p{p:02d}.t{t:02d}.n{n:02d}"
-                records.append(hom_claim(claim, inputs, report, started=t0))
+                yield hom_claim(f"lemma5.3.hom.p{p:02d}.t{t:02d}.n{n:02d}", inputs, report)
     alg = QAlgebra(2, CycField(2, 1))
-    t0 = time.perf_counter()
     report = hom_check(alg, alg, [alg.generator(2), alg.generator(1)])
     inputs = {"p": 2, "t": 1, "n": 2, "map": "x1 -> x2, x2 -> x1"}
-    records.append(
-        hom_claim("lemma5.3.swap_rejected", inputs, report, breaks=(1, 2), started=t0)
-    )
-    return records
+    yield hom_claim("lemma5.3.swap_rejected", inputs, report, breaks=(1, 2))
 
 
 # --- twisted ring -------------------------------------------------------------
@@ -238,7 +200,6 @@ def _campaign_lemma53(rng):
 
 def _campaign_step3(rng, trials=1000):
     basis = PrimeBasis.first(4)
-    t0 = time.perf_counter()
     agree = 0
     centrals = 0
     for _ in range(trials):
@@ -252,22 +213,18 @@ def _campaign_step3(rng, trials=1000):
             agree += 1
         if by_form:
             centrals += 1
-    return [
-        _mk(
-            "step3.center_equivalence",
-            {"trials": trials, "max_support": 5, "max_index": 4},
-            {"agreements": agree, "central_cases": centrals},
-            agree == trials,
-            t0,
-        )
-    ]
+    yield _mk(
+        "step3.center_equivalence",
+        {"trials": trials, "max_support": 5, "max_index": 4},
+        {"agreements": agree, "central_cases": centrals},
+        agree == trials,
+    )
 
 
 def _trials(claim_id: str, trials: int, check) -> Record:
     """One record counting how many of `trials` calls of check() hold."""
-    t0 = time.perf_counter()
     good = sum(1 for _ in range(trials) if check())
-    return _mk(claim_id, {"trials": trials}, {"passed": good}, good == trials, t0)
+    return _mk(claim_id, {"trials": trials}, {"passed": good}, good == trials)
 
 
 def _campaign_ring_axioms(rng, trials=1000):
@@ -281,12 +238,9 @@ def _campaign_ring_axioms(rng, trials=1000):
         a, b, c = (random_twisted(rng, basis) for _ in range(3))
         return a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
 
-    records = [
-        _trials("ring.associativity", trials, associativity),
-        _trials("ring.distributivity", trials, distributivity),
-    ]
+    yield _trials("ring.associativity", trials, associativity)
+    yield _trials("ring.distributivity", trials, distributivity)
 
-    t0 = time.perf_counter()
     ok = True
     for i in range(1, 5):
         sqrt_i = TwistedElem.from_scalar(basis.radical(i))
@@ -294,11 +248,8 @@ def _campaign_ring_axioms(rng, trials=1000):
             xj = TwistedElem.from_group(basis, GroupElem.generator(j))
             expected = -(sqrt_i * xj) if j == i else sqrt_i * xj
             ok = ok and (xj * sqrt_i == expected)
-    records.append(
-        _mk("ring.swap_rule", {"indices": "i, j <= 4"}, {"all_hold": ok}, ok, t0)
-    )
+    yield _mk("ring.swap_rule", {"indices": "i, j <= 4"}, {"all_hold": ok}, ok)
 
-    t0 = time.perf_counter()
     ok = True
     for i in range(1, 5):
         sqrt_i = TwistedElem.from_scalar(basis.radical(i))
@@ -308,17 +259,13 @@ def _campaign_ring_axioms(rng, trials=1000):
                 sign = -1 if (j == i and n % 2) else 1
                 expected = sqrt_i * xjn if sign > 0 else -(sqrt_i * xjn)
                 ok = ok and (xjn * sqrt_i == expected)
-    records.append(
-        _mk(
-            "ring.swap_rule_powers",
-            {"indices": "i, j <= 4", "powers": "n <= 6"},
-            {"all_hold": ok},
-            ok,
-            t0,
-        )
+    yield _mk(
+        "ring.swap_rule_powers",
+        {"indices": "i, j <= 4", "powers": "n <= 6"},
+        {"all_hold": ok},
+        ok,
     )
 
-    t0 = time.perf_counter()
     one = TwistedElem.one(basis)
     ok = True
     checks = min(trials, 200)
@@ -331,8 +278,7 @@ def _campaign_ring_axioms(rng, trials=1000):
         x = TwistedElem.from_group(basis, g)
         xinv = TwistedElem.from_group(basis, g.inv())
         ok = ok and (x * xinv == one and xinv * x == one)
-    records.append(_mk("ring.unit", {"trials": checks}, {"all_hold": ok}, ok, t0))
-    return records
+    yield _mk("ring.unit", {"trials": checks}, {"all_hold": ok}, ok)
 
 
 def _campaign_field_axioms(rng, trials=1000):
@@ -369,14 +315,12 @@ def _campaign_field_axioms(rng, trials=1000):
         a, b, c = (random_mq(rng, basis) for _ in range(3))
         return a * (b + c) == a * b + a * c and (a * b) * c == a * (b * c)
 
-    return [
-        _trials("field.automorphism", trials, automorphism),
-        _trials("field.commuting", trials, commuting),
-        _trials("field.involution", trials, involution),
-        _trials("field.inverse", trials, inverse),
-        _trials("field.fixed_field", trials, fixed_field),
-        _trials("field.ring_axioms", trials, ring_axioms),
-    ]
+    yield _trials("field.automorphism", trials, automorphism)
+    yield _trials("field.commuting", trials, commuting)
+    yield _trials("field.involution", trials, involution)
+    yield _trials("field.inverse", trials, inverse)
+    yield _trials("field.fixed_field", trials, fixed_field)
+    yield _trials("field.ring_axioms", trials, ring_axioms)
 
 
 # --- cyclotomic tower -----------------------------------------------------------
@@ -386,36 +330,26 @@ _PRIMITIVITY_GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11
 
 
 def _campaign_tower(rng):
-    records = []
     for p, t in _CENTRALITY_GRID:
-        t0 = time.perf_counter()
         ok = tower_check(p, t)
-        records.append(
-            _mk(f"tower.compat.p{p:02d}.t{t:02d}", {"p": p, "t": t}, {"compatible": ok}, ok, t0)
-        )
+        yield _mk(f"tower.compat.p{p:02d}.t{t:02d}", {"p": p, "t": t}, {"compatible": ok}, ok)
     for p, t in _PRIMITIVITY_GRID:
         m = p ** (2 * t)
         if m > 128:
             continue
-        t0 = time.perf_counter()
         order = CycField(p, t).zeta.order()
-        records.append(
-            _mk(
-                f"tower.primitivity.p{p:02d}.t{t:02d}",
-                {"p": p, "t": t, "m": m},
-                {"order": order},
-                order == m,
-                t0,
-            )
+        yield _mk(
+            f"tower.primitivity.p{p:02d}.t{t:02d}",
+            {"p": p, "t": t, "m": m},
+            {"order": order},
+            order == m,
         )
-    return records
 
 
 # --- unbounded chain --------------------------------------------------------------
 
 
 def _campaign_theorem61(rng, p=2, t=1, rmax=12):
-    records = []
     estimates = []
     for n in range(1, 5):
         alg = QAlgebra(n, CycField(p, t))
@@ -426,28 +360,23 @@ def _campaign_theorem61(rng, p=2, t=1, rmax=12):
             n,
         )
         estimates.append(est.snapped)
-        records.append(record)
-    t0 = time.perf_counter()
+        yield record
     ok = all(isinstance(e, int) for e in estimates) and all(
         a < b for a, b in zip(estimates, estimates[1:])
     )
-    records.append(
-        _mk(
-            "theorem6.1.strictly_increasing",
-            {"chain": "n = 1..4"},
-            {
-                "estimates": estimates,
-                "note": (
-                    "each stage of the nested-algebra chain adds a generator and "
-                    "its growth degree rises with it, so the degree along the "
-                    "full chain exceeds every fixed bound"
-                ),
-            },
-            ok,
-            t0,
-        )
+    yield _mk(
+        "theorem6.1.strictly_increasing",
+        {"chain": "n = 1..4"},
+        {
+            "estimates": estimates,
+            "note": (
+                "each stage of the nested-algebra chain adds a generator and "
+                "its growth degree rises with it, so the degree along the "
+                "full chain exceeds every fixed bound"
+            ),
+        },
+        ok,
     )
-    return records
 
 
 # --- rewriting ---------------------------------------------------------------------
@@ -459,7 +388,6 @@ def _campaign_confluence(rng, words=200, orders=20):
         for n in range(1, 5)
         for p, t in ((2, 1), (3, 1), (2, 2))
     ]
-    t0 = time.perf_counter()
     stable = 0
     for _ in range(words):
         alg = rng.choice(algebras)
@@ -475,15 +403,12 @@ def _campaign_confluence(rng, words=200, orders=20):
             and closed == reference
         ):
             stable += 1
-    return [
-        _mk(
-            "confluence.random_swap_orders",
-            {"words": words, "orders": orders, "max_len": 8},
-            {"stable": stable},
-            stable == words,
-            t0,
-        )
-    ]
+    yield _mk(
+        "confluence.random_swap_orders",
+        {"words": words, "orders": orders, "max_len": 8},
+        {"stable": stable},
+        stable == words,
+    )
 
 
 # --- registry ------------------------------------------------------------------------
@@ -518,7 +443,7 @@ def _parameters(fn) -> tuple:
 
 def run_campaign(name: str, params=None, seed: int = 0) -> list[Record]:
     """Run the named campaign deterministically under the given seed and
-    return its records ordered by claim id.  A named campaign rejects a
+    return its timed records ordered by claim id.  A named campaign rejects a
     parameter it does not take; `all` hands each campaign the ones it takes."""
     params = dict(params or {})
     if name == "all":
@@ -537,5 +462,5 @@ def run_campaign(name: str, params=None, seed: int = 0) -> list[Record]:
     for fn in chosen:
         taken = _parameters(fn)
         kwargs = {k: v for k, v in params.items() if k in taken}
-        records.extend(fn(random.Random(seed), **kwargs))
+        records.extend(timed(fn(random.Random(seed), **kwargs)))
     return sorted(records, key=lambda r: r.claim_id)

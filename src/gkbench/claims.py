@@ -1,9 +1,10 @@
-"""Claim records that the campaigns and the CLI subcommands both emit."""
+"""Claim records that the campaigns and the CLI subcommands both emit.
 
-import time
+The records are untimed; the stream that yields them is stamped by
+`reports.timed`."""
 
 from .growth import GrowthSeries, degree_estimate, slope_extract
-from .reports import Record, timed_record as _mk
+from .reports import Record, record as _mk
 
 
 # degree estimates are taken over one generating subspace (1 plus the
@@ -18,7 +19,6 @@ _SUBSPACE_NOTE = (
 def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: int):
     """(estimate, record): the record claiming that `series` grows with
     degree `expected`."""
-    t0 = time.perf_counter()
     est = degree_estimate(series)
     return est, _mk(
         claim_id,
@@ -30,14 +30,12 @@ def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: in
             "note": _SUBSPACE_NOTE,
         },
         est.snapped == expected and not est.unbounded,
-        t0,
     )
 
 
 def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slope: int):
     """(fit, records): the records claiming that `series` is eventually
     slope * r + offset and that its degree is 1, under the two claim ids."""
-    t0 = time.perf_counter()
     fit = slope_extract(series)
     record = _mk(
         ids[0],
@@ -48,16 +46,14 @@ def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slop
             "expected_slope": slope,
         },
         fit is not None and fit.slope == slope,
-        t0,
     )
     return fit, [record, degree_claim(ids[1], inputs, series, 1)[1]]
 
 
-def hom_claim(claim_id: str, inputs: dict, report, breaks=None, *, started: float) -> Record:
+def hom_claim(claim_id: str, inputs: dict, report, breaks=None) -> Record:
     """The record of a hom_check report: it passes when the map is a ring
-    map or, given `breaks`, when the map fails exactly on that relation.
-    `started` is the perf_counter reading taken before the check ran."""
+    map or, given `breaks`, when the map fails exactly on that relation."""
     defect = str(report.defect) if report.defect else None
     outputs = {"ok": report.ok, "failing_pair": list(report.failing_pair or ()), "defect": defect}
     ok = report.ok if breaks is None else not report.ok and report.failing_pair == breaks
-    return _mk(claim_id, inputs, outputs, ok, started)
+    return _mk(claim_id, inputs, outputs, ok)

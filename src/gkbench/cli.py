@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Each subcommand imports the modules it runs, when it runs, and emits Record
-streams (human or machine format); `verify` runs the named campaigns.  Exit
-status: 0 if every emitted record passes, 1 if any fails, 2 on bad input.
+Each subcommand imports the modules it runs, when it runs, and yields
+untimed Records, which `main` stamps with `reports.timed` and emits (human or
+machine format); `verify` returns the records `run_campaign` has already
+timed.  Exit status: 0 if every emitted record passes, 1 if any fails, 2 on
+bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import budget
-from .reports import all_passed, emit, timed_record
+from .reports import all_passed, emit, record, timed
 
 
 def _algebra(n: int, p: int, t: int):
@@ -35,38 +36,30 @@ def _cmd_gamma_coeff(args):
     from .gammalab import gamma_coeff
     from .parser import parse, to_group
 
-    t0 = time.perf_counter()
     target = to_group(parse(args.target, "group"))
     value = gamma_coeff(args.power, target)
-    return [
-        timed_record(
-            "gamma.coeff",
-            {"power": args.power, "target": str(target)},
-            {"coefficient": value},
-            True,
-            t0,
-        )
-    ]
+    yield record(
+        "gamma.coeff",
+        {"power": args.power, "target": str(target)},
+        {"coefficient": value},
+        True,
+    )
 
 
 def _cmd_gamma_witness(args):
     from .gammalab import independence_witness
 
-    t0 = time.perf_counter()
     witness = independence_witness(args.degree)
-    return [
-        timed_record(
-            "gamma.witness",
-            {"degree": args.degree},
-            {
-                "diagonal": list(witness.diagonal),
-                "independent": witness.independent,
-                "trace": list(witness.trace),
-            },
-            witness.independent,
-            t0,
-        )
-    ]
+    yield record(
+        "gamma.witness",
+        {"degree": args.degree},
+        {
+            "diagonal": list(witness.diagonal),
+            "independent": witness.independent,
+            "trace": list(witness.trace),
+        },
+        witness.independent,
+    )
 
 
 def _cmd_gamma_growth(args):
@@ -85,42 +78,34 @@ def _cmd_gamma_growth(args):
         GrowthSeries(pairs),
         rn_basis_size(n),
     )
-    return records
+    yield from records
 
 
 def _cmd_quantum_nf(args):
     from .parser import parse, to_quantum
 
     alg = _algebra(args.n, args.p, args.t)
-    t0 = time.perf_counter()
     poly = to_quantum(parse(args.expr, "quantum"), alg)
-    return [
-        timed_record(
-            "quantum.normal_form",
-            {"n": args.n, "p": args.p, "t": args.t, "expr": args.expr},
-            {"normal_form": str(poly)},
-            True,
-            t0,
-        )
-    ]
+    yield record(
+        "quantum.normal_form",
+        {"n": args.n, "p": args.p, "t": args.t, "expr": args.expr},
+        {"normal_form": str(poly)},
+        True,
+    )
 
 
 def _cmd_quantum_mul(args):
     from .parser import parse, to_quantum
 
     alg = _algebra(args.n, args.p, args.t)
-    t0 = time.perf_counter()
     lhs = to_quantum(parse(args.lhs, "quantum"), alg)
     rhs = to_quantum(parse(args.rhs, "quantum"), alg)
-    return [
-        timed_record(
-            "quantum.product",
-            {"n": args.n, "p": args.p, "t": args.t, "lhs": args.lhs, "rhs": args.rhs},
-            {"product": str(lhs * rhs)},
-            True,
-            t0,
-        )
-    ]
+    yield record(
+        "quantum.product",
+        {"n": args.n, "p": args.p, "t": args.t, "lhs": args.lhs, "rhs": args.rhs},
+        {"product": str(lhs * rhs)},
+        True,
+    )
 
 
 def _cmd_quantum_growth(args):
@@ -132,14 +117,12 @@ def _cmd_quantum_growth(args):
     pairs = gk_profile(alg, args.rmax)
     if args.series_out:
         _write_series(args.series_out, pairs)
-    return [
-        degree_claim(
-            "quantum.growth.degree",
-            {"n": args.n, "p": args.p, "t": args.t, "rmax": args.rmax},
-            GrowthSeries(pairs),
-            args.n,
-        )[1]
-    ]
+    yield degree_claim(
+        "quantum.growth.degree",
+        {"n": args.n, "p": args.p, "t": args.t, "rmax": args.rmax},
+        GrowthSeries(pairs),
+        args.n,
+    )[1]
 
 
 def _cmd_quantum_hom_check(args):
@@ -152,7 +135,6 @@ def _cmd_quantum_hom_check(args):
     if src_t < 0:
         raise ValueError("source level must be nonnegative")
     src = _algebra(args.n, args.p, src_t)
-    t0 = time.perf_counter()
     if args.images is not None:
         images = [
             to_quantum(parse(piece.strip(), "quantum"), dst)
@@ -162,62 +144,49 @@ def _cmd_quantum_hom_check(args):
     else:
         images = power_map_images(src, dst, args.p)
         label = f"x_i -> x_i^{args.p}"
-    return [
-        hom_claim(
-            "quantum.hom_check",
-            {"n": args.n, "p": args.p, "src_t": src_t, "dst_t": args.t, "map": label},
-            hom_check(src, dst, images),
-            started=t0,
-        )
-    ]
+    yield hom_claim(
+        "quantum.hom_check",
+        {"n": args.n, "p": args.p, "src_t": src_t, "dst_t": args.t, "map": label},
+        hom_check(src, dst, images),
+    )
 
 
 def _cmd_growth_estimate(args):
     from .growth import GrowthSeries, degree_estimate, slope_extract
 
-    t0 = time.perf_counter()
     if args.series == "-":
         series = GrowthSeries.from_text(sys.stdin.read())
     else:
         series = GrowthSeries.from_file(args.series)
     est = degree_estimate(series)
-    records = [
-        timed_record(
-            "growth.degree",
-            {"series": args.series, "points": len(series)},
-            {
-                "degree": est.label,
-                "raw": round(est.raw, 4),
-                "residual": round(est.fit_residual, 6),
-                "exact": est.exact,
-            },
-            True,
-            t0,
-        )
-    ]
-    t0 = time.perf_counter()
+    yield record(
+        "growth.degree",
+        {"series": args.series, "points": len(series)},
+        {
+            "degree": est.label,
+            "raw": round(est.raw, 4),
+            "residual": round(est.fit_residual, 6),
+            "exact": est.exact,
+        },
+        True,
+    )
     rs = series.rs
     if len(series) >= 4 and all(b - a == 1 for a, b in zip(rs, rs[1:])):
         fit = slope_extract(series)
-        records.append(
-            timed_record(
-                "growth.slope",
-                {"series": args.series},
-                {
-                    "slope": fit.slope if fit else "nonlinear",
-                    "offset": fit.offset if fit else None,
-                },
-                True,
-                t0,
-            )
+        yield record(
+            "growth.slope",
+            {"series": args.series},
+            {
+                "slope": fit.slope if fit else "nonlinear",
+                "offset": fit.offset if fit else None,
+            },
+            True,
         )
-    return records
 
 
 def _cmd_eval(args):
     from .parser import max_symbol_index, parse, to_field, to_group, to_quantum, to_twisted
 
-    t0 = time.perf_counter()
     node = parse(args.expr, args.context)
     # an explicit --primes or --n wins, zero included; otherwise the
     # largest index the expression uses (at least 1)
@@ -233,15 +202,12 @@ def _cmd_eval(args):
         from .mqfield import PrimeBasis
         basis = PrimeBasis.first(size if args.primes is None else args.primes)
         value = (to_twisted if twisted else to_field)(node, basis)
-    return [
-        timed_record(
-            "parse.eval",
-            {"context": args.context, "expr": args.expr},
-            {"canonical": str(value)},
-            True,
-            t0,
-        )
-    ]
+    yield record(
+        "parse.eval",
+        {"context": args.context, "expr": args.expr},
+        {"canonical": str(value)},
+        True,
+    )
 
 
 def _cmd_verify(args):
@@ -352,7 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         budget.cap()  # a malformed WORKBENCH_MAX_OPS is bad input, not a crash
-        records = args.handler(args)
+        records = list(timed(args.handler(args)))
         text = emit(records, args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -22,7 +22,7 @@ import itertools
 from math import comb, factorial
 from typing import NamedTuple
 
-from .growth import MIN_POINTS
+from .growth import check_fit_window
 from .ordgroup import GroupElem
 from . import budget
 
@@ -171,12 +171,7 @@ def rn_window(pairs: int, r_max: int | None = None) -> tuple[int, int]:
     growth.MIN_POINTS points, so a shorter r_max raises ValueError."""
     r_min = max(1, 2 * pairs)
     r_max = 2 * pairs + 12 if r_max is None else r_max
-    least = r_min + MIN_POINTS - 1
-    if r_max < least:
-        raise ValueError(
-            f"rmax must be at least {least} for n = {pairs}: "
-            f"the fit needs {MIN_POINTS} points from r = {r_min}"
-        )
+    check_fit_window(r_min, r_max, f" for n = {pairs}")
     return r_min, r_max
 
 

@@ -159,6 +159,17 @@ def _windows_increasing(points) -> bool:
     )
 
 
+def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
+    """Raise ValueError unless r = r_min..r_max gives the fit its MIN_POINTS
+    points; `scope` names what fixed r_min, e.g. " for n = 2"."""
+    least = r_min + MIN_POINTS - 1
+    if r_max < least:
+        raise ValueError(
+            f"rmax must be at least {least}{scope}: "
+            f"the fit needs {MIN_POINTS} points from r = {r_min}"
+        )
+
+
 def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     """Estimate the polynomial degree of r -> dim.
 

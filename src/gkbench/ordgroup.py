@@ -103,10 +103,6 @@ class GroupElem:
         """True iff the element is a square, i.e. every exponent is even."""
         return all(e % 2 == 0 for e in self.exps.values())
 
-    def twist_sign(self, i: int) -> int:
-        """(-1)**n_i: the sign this element's action puts on sqrt(p_i)."""
-        return -1 if self.exps.get(i, 0) % 2 else 1
-
     def check_within(self, n: int):
         """Raise IndexError unless every index of the support is at most n."""
         top = self.max_index()

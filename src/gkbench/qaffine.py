@@ -274,9 +274,11 @@ def dim_Vr_oracle(algebra: QAlgebra, r: int) -> int:
 
 def gk_profile(algebra: QAlgebra, r_max: int) -> list[tuple[int, int]]:
     """Dimension sequence (r, dim V^r) for r = 1..r_max, V spanned by 1 and
-    the generators; feed it to the growth estimators."""
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
+    the generators; feed it to the growth estimators.  A window too short
+    for their fit raises ValueError."""
+    from .growth import check_fit_window  # imported here: `quantum nf` and `mul` never fit
+
+    check_fit_window(1, r_max)
     return [(r, dim_Vr(algebra, r)) for r in range(1, r_max + 1)]
 
 
@@ -312,15 +314,6 @@ class HomCheckReport(NamedTuple):
     ok: bool
     failing_pair: Optional[tuple[int, int]]
     defect: Optional[QPoly]
-
-    def __str__(self):
-        if self.ok:
-            return "ok: all presenting relations preserved"
-        i, j = self.failing_pair
-        return (
-            f"fails on the ({i},{j}) relation: "
-            f"image of x{i}*x{j} - q*x{j}*x{i} is {self.defect}"
-        )
 
 
 def embed_root(src: CycField, dst: CycField) -> CycElem:

@@ -1,10 +1,11 @@
-"""Verification report records and their two output formats.
+"""Verification report records, their timing and their two output formats.
 
 A record is one sub-check: claim id, inputs, outputs, verdict, timing.
-Machine format is JSON Lines with exactly the keys claim_id, inputs,
-outputs, verdict, millis (one object per line; an empty stream renders as
-an empty document).  Human format is an aligned table.  The record schema
-is versioned by REPORT_SCHEMA.
+Campaigns and subcommands yield untimed records (`record`); `timed` is the
+one place that stamps their `millis`.  Machine format is JSON Lines with
+exactly the keys claim_id, inputs, outputs, verdict, millis (one object per
+line; an empty stream renders as an empty document).  Human format is an
+aligned table.  The record schema is versioned by REPORT_SCHEMA.
 """
 
 from __future__ import annotations
@@ -24,17 +25,31 @@ class Record(NamedTuple):
     inputs: dict
     outputs: dict
     verdict: str
-    millis: int
+    millis: int | None = None
 
     @property
     def passed(self) -> bool:
         return self.verdict == PASS
 
 
-def timed_record(claim_id: str, inputs: dict, outputs: dict, ok: bool, started: float) -> Record:
-    """Record with millis measured from a time.perf_counter() start."""
-    millis = int((time.perf_counter() - started) * 1000)
-    return Record(claim_id, inputs, outputs, PASS if ok else FAIL, millis)
+def record(claim_id: str, inputs: dict, outputs: dict, ok: bool) -> Record:
+    """An untimed record that passes when `ok` holds."""
+    return Record(claim_id, inputs, outputs, PASS if ok else FAIL)
+
+
+def timed(stream):
+    """Yield the records of `stream`, stamping each untimed one with the
+    milliseconds the stream ran since the previous record.  The stamps are
+    differences of cumulative whole milliseconds, so the records of one
+    stream add up to its time.  A record that has its millis keeps them."""
+    start = time.perf_counter()
+    last = 0
+    for rec in stream:
+        now = int((time.perf_counter() - start) * 1000)
+        if rec.millis is None:
+            rec = rec._replace(millis=now - last)
+        last = now
+        yield rec
 
 
 def all_passed(records) -> bool:

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycField
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
-from .qaffine import FreeWord, QAlgebra, QPoly
+from .qaffine import FreeWord, QAlgebra
 from .twistring import TwistedElem
 
 
@@ -66,24 +65,7 @@ def random_central_twisted(rng, basis: PrimeBasis, max_terms: int = 3, max_index
     return TwistedElem(basis, terms)
 
 
-def random_cyc(rng, field: CycField, span: int = 4, nonzero: bool = False):
-    while True:
-        elem = field.element(
-            [Fraction(rng.randint(-span, span)) for _ in range(field.degree)]
-        )
-        if elem or not nonzero:
-            return elem
-
-
 def random_word(rng, algebra: QAlgebra, max_len: int = 8) -> FreeWord:
     length = rng.randint(0, max_len)
     indices = [rng.randint(1, algebra.n) for _ in range(length)]
     return FreeWord(algebra, indices, algebra.field.one())
-
-
-def random_qpoly(rng, algebra: QAlgebra, max_terms: int = 3, max_exp: int = 2) -> QPoly:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(0, max_exp) for _ in range(algebra.n))
-        terms[exps] = random_cyc(rng, algebra.field, span=3)
-    return QPoly(algebra, terms)

@@ -1,5 +1,6 @@
 """CLI wiring: subcommands, formats, exit codes, files, determinism."""
 
+import io
 import json
 import os
 import re
@@ -99,6 +100,39 @@ def test_short_rmax_names_the_fit_window(capsys, command, rmax):
 def test_shortest_rmax_is_accepted(capsys, command):
     code, _, err = run(capsys, *command, "--n", "2", "--rmax", "9")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "command", [("quantum", "growth", "--n", "2"), ("verify", "lemma5.1"), ("verify", "theorem6.1")]
+)
+@pytest.mark.parametrize("rmax", ["1", "3", "5"])
+def test_short_quantum_rmax_names_the_fit_window(capsys, command, rmax):
+    code, out, err = run(capsys, *command, "--rmax", rmax)
+    message = "error: rmax must be at least 6: the fit needs 6 points from r = 1\n"
+    assert (code, out, err) == (2, "", message)
+
+
+# theorem6.1 is left out: at rmax 6 its n = 4 series reads as unbounded
+@pytest.mark.parametrize("command", [("quantum", "growth", "--n", "2"), ("verify", "lemma5.1")])
+def test_shortest_quantum_rmax_is_accepted(capsys, command):
+    code, _, err = run(capsys, *command, "--rmax", "6")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, claims",
+    [
+        (("gamma", "growth", "--n", "1"), ["gamma.growth.slope", "gamma.growth.degree"]),
+        (("growth", "estimate", "-"), ["growth.degree", "growth.slope"]),
+    ],
+)
+def test_two_record_subcommands_keep_their_order(capsys, monkeypatch, argv, claims):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{3 * r + 1}\n" for r in range(1, 9))))
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    records = machine_lines(out)
+    assert code == 0
+    assert [r["claim_id"] for r in records] == claims
+    assert all(type(r["millis"]) is int for r in records)
 
 
 def test_gamma_coeff_rejects_bad_target(capsys):

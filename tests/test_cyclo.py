@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gkbench.cyclo import CycElem, CycField, tower_check
-from gkbench.sampling import random_cyc
 from polydiv import poly_divmod
+from qsampling import random_cyc
 
 F4 = CycField(2, 1)  # m = 4, modulus X^2 + 1
 F9 = CycField(3, 1)  # m = 9, modulus X^6 + X^3 + 1

@@ -69,9 +69,10 @@ def test_in_squares():
 
 def test_twist_sign_examples():
     x1 = GroupElem.generator(1)
-    assert x1.twist_sign(1) == -1
-    assert (x1**2).twist_sign(1) == 1
-    assert GroupElem.generator(2).twist_sign(1) == 1
+    s1 = BASIS.radical(1)
+    assert x1.twist(s1) == -s1
+    assert (x1**2).twist(s1) == s1
+    assert GroupElem.generator(2).twist(s1) == s1
 
 
 def test_twist_examples():

@@ -21,10 +21,10 @@ from gkbench.qaffine import QAlgebra
 from gkbench.sampling import (
     random_group,
     random_mq,
-    random_qpoly,
     random_twisted,
 )
 from gkbench.twistring import TwistedElem
+from qsampling import random_qpoly
 
 BASIS = PrimeBasis.first(4)
 ALG = QAlgebra(3, CycField(2, 1))

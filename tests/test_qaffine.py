@@ -24,7 +24,8 @@ from gkbench.qaffine import (
     power_map_images,
 )
 from gkbench.growth import GrowthSeries, degree_estimate
-from gkbench.sampling import random_qpoly, random_word
+from gkbench.sampling import random_word
+from qsampling import random_qpoly
 
 ALG = QAlgebra(2, CycField(2, 1))  # q = zeta_4
 

@@ -28,6 +28,7 @@ def stripped_lines(seed):
     out = []
     for line in emit_machine(run_campaign("all", seed=seed)).splitlines():
         record = json.loads(line)
+        assert type(record["millis"]) is int, line
         del record["millis"]
         out.append(json.dumps(record))
     return out

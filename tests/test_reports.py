@@ -1,9 +1,12 @@
-"""Report records and the two emit formats."""
+"""Report records, their timing and the two emit formats."""
 
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from gkbench import reports
 from gkbench.reports import (
     REPORT_SCHEMA,
     Record,
@@ -11,6 +14,8 @@ from gkbench.reports import (
     emit,
     emit_human,
     emit_machine,
+    record,
+    timed,
 )
 
 
@@ -62,3 +67,47 @@ def test_all_passed():
     assert all_passed([rec(), rec("c.d")])
     assert not all_passed([rec(), rec("c.d", "fail")])
     assert all_passed([])
+
+
+def _after_waits(waits_ms, wait):
+    """Untimed records, each yielded after wait(seconds) of work."""
+    for i, ms in enumerate(waits_ms):
+        wait(ms / 1000)
+        yield record(f"w.{i}", {}, {}, True)
+
+
+def test_timed_stamps_each_record_with_the_time_before_it():
+    waits_ms = (20, 0, 30, 10)
+    start = time.perf_counter()
+    stamped = list(timed(_after_waits(waits_ms, time.sleep)))
+    total_ms = (time.perf_counter() - start) * 1000
+    assert [r.claim_id for r in stamped] == ["w.0", "w.1", "w.2", "w.3"]
+    assert all(type(r.millis) is int for r in stamped)
+    assert all(r.millis >= ms for r, ms in zip(stamped, waits_ms))
+    assert sum(waits_ms) <= sum(r.millis for r in stamped) <= total_ms
+
+
+def test_timed_stamps_add_up_to_the_stream_time(monkeypatch):
+    # the steps are exact in binary; the first five are each under a
+    # millisecond, so rounding each record's own time would lose 4 of the 51 ms
+    clock = [0.0]
+    monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def advance(seconds):
+        clock[0] += seconds
+
+    waits_ms = (1000 / 1024,) * 5 + (46.875,)
+    stamped = list(timed(_after_waits(waits_ms, advance)))
+    assert [r.millis for r in stamped] == [0, 1, 1, 1, 1, 47]
+    assert sum(r.millis for r in stamped) == int(clock[0] * 1000) == 51
+
+
+def test_timed_keeps_a_stamped_record():
+    done = Record("v.a", {}, {}, "pass", 1234)
+    stamped = list(timed(iter([done, record("v.b", {}, {}, False)])))
+    assert stamped[0] == done
+    assert stamped[1].verdict == "fail" and type(stamped[1].millis) is int
+
+
+def test_record_is_untimed_until_stamped():
+    assert record("a.b", {}, {}, True) == Record("a.b", {}, {}, "pass", None)
