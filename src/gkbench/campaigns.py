@@ -241,30 +241,20 @@ def _campaign_ring_axioms(rng, trials=1000):
     yield _trials("ring.associativity", trials, associativity)
     yield _trials("ring.distributivity", trials, distributivity)
 
-    ok = True
-    for i in range(1, 5):
-        sqrt_i = TwistedElem.from_scalar(basis.radical(i))
-        for j in range(1, 5):
-            xj = TwistedElem.from_group(basis, GroupElem.generator(j))
-            expected = -(sqrt_i * xj) if j == i else sqrt_i * xj
-            ok = ok and (xj * sqrt_i == expected)
-    yield _mk("ring.swap_rule", {"indices": "i, j <= 4"}, {"all_hold": ok}, ok)
+    def swap_rule(claim_id, inputs, powers):
+        # x_j^n sqrt(p_i) = -sqrt(p_i) x_j^n exactly when j = i and n is odd
+        ok = True
+        for i in range(1, 5):
+            sqrt_i = TwistedElem.from_scalar(basis.radical(i))
+            for j in range(1, 5):
+                for n in range(1, powers + 1):
+                    xjn = TwistedElem.from_group(basis, GroupElem.generator(j, n))
+                    expected = -(sqrt_i * xjn) if j == i and n % 2 else sqrt_i * xjn
+                    ok = ok and (xjn * sqrt_i == expected)
+        return _mk(claim_id, inputs, {"all_hold": ok}, ok)
 
-    ok = True
-    for i in range(1, 5):
-        sqrt_i = TwistedElem.from_scalar(basis.radical(i))
-        for j in range(1, 5):
-            for n in range(1, 7):
-                xjn = TwistedElem.from_group(basis, GroupElem.generator(j, n))
-                sign = -1 if (j == i and n % 2) else 1
-                expected = sqrt_i * xjn if sign > 0 else -(sqrt_i * xjn)
-                ok = ok and (xjn * sqrt_i == expected)
-    yield _mk(
-        "ring.swap_rule_powers",
-        {"indices": "i, j <= 4", "powers": "n <= 6"},
-        {"all_hold": ok},
-        ok,
-    )
+    yield swap_rule("ring.swap_rule", {"indices": "i, j <= 4"}, 1)
+    yield swap_rule("ring.swap_rule_powers", {"indices": "i, j <= 4", "powers": "n <= 6"}, 6)
 
     one = TwistedElem.one(basis)
     ok = True

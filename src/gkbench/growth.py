@@ -159,14 +159,16 @@ def _windows_increasing(points) -> bool:
     )
 
 
-def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
-    """Raise ValueError unless r = r_min..r_max gives the fit its MIN_POINTS
-    points; `scope` names what fixed r_min, e.g. " for n = 2"."""
-    least = r_min + MIN_POINTS - 1
+def check_fit_window(r_min: int, r_max: int, scope: str = "", degree: int = 1) -> None:
+    """Raise ValueError unless r = r_min..r_max gives the fit max(MIN_POINTS,
+    degree + 3) points, enough for three equal degree-th differences; `scope`
+    names what fixed the window, e.g. " for n = 2"."""
+    points = max(MIN_POINTS, degree + 3)
+    least = r_min + points - 1
     if r_max < least:
         raise ValueError(
             f"rmax must be at least {least}{scope}: "
-            f"the fit needs {MIN_POINTS} points from r = {r_min}"
+            f"the fit needs {points} points from r = {r_min}"
         )
 
 

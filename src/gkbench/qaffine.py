@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import add, attrgetter
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycElem, CycField
@@ -36,9 +36,10 @@ class QAlgebra:
     """Descriptor: generator count n plus the scalar field carrying q.  q is
     the field's zeta, the class of X modulo the m-th cyclotomic polynomial,
     so it is primitive by construction (the `tower` campaign checks that
-    order); building an algebra charges nothing."""
+    order); products apply it as index shifts, so an algebra holds nothing
+    more, and building one charges nothing."""
 
-    __slots__ = ("n", "field", "q", "q_inv")
+    __slots__ = ("n", "field")
 
     def __init__(self, n: int, field: CycField):
         n = int(n)
@@ -46,8 +47,6 @@ class QAlgebra:
             raise ValueError("need at least one generator")
         self.n = n
         self.field = field
-        self.q = field.zeta
-        self.q_inv = self.q.inv()
 
     def __eq__(self, other):
         return (
@@ -162,13 +161,12 @@ def _rewrite(word: FreeWord, pick) -> "QPoly":
 
 
 class QPoly(TermSum):
-    """Canonical polynomial: {sorted-monomial exponent vector: nonzero scalar};
-    `algebra` is a read-only name for `parent`.  Unhashable."""
+    """Canonical polynomial: {sorted-monomial exponent vector: nonzero scalar}
+    over its algebra, `parent`.  Unhashable."""
 
     __slots__ = ()
     _mismatch = "algebra mismatch"
     __hash__ = None
-    algebra = property(attrgetter("parent"))
 
     def __init__(self, algebra: QAlgebra, terms):
         clean = {}
@@ -275,10 +273,11 @@ def dim_Vr_oracle(algebra: QAlgebra, r: int) -> int:
 def gk_profile(algebra: QAlgebra, r_max: int) -> list[tuple[int, int]]:
     """Dimension sequence (r, dim V^r) for r = 1..r_max, V spanned by 1 and
     the generators; feed it to the growth estimators.  A window too short
-    for their fit raises ValueError."""
-    from .growth import check_fit_window  # imported here: `quantum nf` and `mul` never fit
+    to certify degree n, r_max < max(6, n + 3), raises ValueError."""
+    from .growth import MIN_POINTS, check_fit_window  # imported here: `quantum nf` and `mul` never fit
 
-    check_fit_window(1, r_max)
+    n = algebra.n
+    check_fit_window(1, r_max, f" for n = {n}" if n + 3 > MIN_POINTS else "", n)
     return [(r, dim_Vr(algebra, r)) for r in range(1, r_max + 1)]
 
 

@@ -17,24 +17,18 @@ the support); ring operations build their canonical results directly.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from operator import attrgetter
-
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
 from .ringops import TermSum, charged_power, render_terms
 from . import budget
 
-_group_sort_key = cmp_to_key(lambda a, b: a.compare(b))
-
 
 class TwistedElem(TermSum):
-    """Canonical finite sum {GroupElem: nonzero MQElem} over a shared basis;
-    `basis` is a read-only name for `parent`."""
+    """Canonical finite sum {GroupElem: nonzero MQElem} over a shared basis,
+    `parent`."""
 
     __slots__ = ()
     _mismatch = "prime basis mismatch"
-    basis = property(attrgetter("parent"))
 
     def __init__(self, basis: PrimeBasis, terms):
         clean = {}
@@ -149,5 +143,5 @@ class TwistedElem(TermSum):
     def __str__(self):
         return render_terms(
             (str(self.terms[g]), "" if g.is_identity() else str(g))
-            for g in sorted(self.terms, key=_group_sort_key)
+            for g in sorted(self.terms)  # GroupElem.__lt__: the group's total order
         )

@@ -1,5 +1,6 @@
 """Dense polynomial long division over Fraction (little-endian coefficient
-lists): the reference that the cyclotomic tests reduce against."""
+lists), and the cyclotomic polynomials: the reference that the cyclotomic
+tests reduce against."""
 
 from fractions import Fraction
 
@@ -7,6 +8,18 @@ from fractions import Fraction
 def _trim(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
+    return coeffs
+
+
+def cyclotomic(field):
+    """The p**(2t)-th cyclotomic polynomial that defines `field`, from its
+    (p, t) alone: sum_{j<p} X**(j*p**(2t-1)), or X - 1 at t = 0."""
+    p, t = field.p, field.t
+    if t == 0:
+        return [Fraction(-1), Fraction(1)]
+    step = p ** (2 * t - 1)
+    coeffs = [Fraction(0)] * ((p - 1) * step + 1)
+    coeffs[::step] = [Fraction(1)] * p
     return coeffs
 
 

@@ -112,10 +112,34 @@ def test_short_quantum_rmax_names_the_fit_window(capsys, command, rmax):
     assert (code, out, err) == (2, "", message)
 
 
-# theorem6.1 is left out: at rmax 6 its n = 4 series reads as unbounded
-@pytest.mark.parametrize("command", [("quantum", "growth", "--n", "2"), ("verify", "lemma5.1")])
+# A degree-n certificate needs n + 3 points, so the window grows past 6 at
+# n = 4: theorem6.1 runs n = 1..4.
+@pytest.mark.parametrize(
+    "command, n, least",
+    [
+        (("quantum", "growth", "--n", "4"), 4, 7),
+        (("verify", "theorem6.1"), 4, 7),
+        (("quantum", "growth", "--n", "5"), 5, 8),
+    ],
+)
+def test_short_quantum_rmax_names_the_degree(capsys, command, n, least):
+    code, out, err = run(capsys, *command, "--rmax", str(least - 1))
+    message = f"error: rmax must be at least {least} for n = {n}: the fit needs {least} points from r = 1\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("quantum", "growth", "--n", "2", "--rmax", "6"),
+        ("verify", "lemma5.1", "--rmax", "6"),
+        ("verify", "theorem6.1", "--rmax", "7"),
+        ("quantum", "growth", "--n", "4", "--rmax", "7"),
+    ],
+)
 def test_shortest_quantum_rmax_is_accepted(capsys, command):
-    code, _, err = run(capsys, *command, "--rmax", "6")
+    # exit 0: every degree claim read its n, 4 at the longest chain
+    code, _, err = run(capsys, *command)
     assert (code, err) == (0, "")
 
 

@@ -226,3 +226,11 @@ def test_explicit_zero_and_negative_values(argv, code, out):
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     else:
         assert out in proc.stdout and proc.stderr == ""
+
+
+def test_high_level_quantum_growth_runs_without_building_the_field():
+    # the field at t = 12 has degree 2**23; the count never touches a
+    # coefficient, so nothing may allocate in proportion to it
+    proc = _cli("quantum", "growth", "--n", "2", "--t", "12", "--format", "machine")
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert '"degree": "2"' in proc.stdout

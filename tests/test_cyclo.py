@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from gkbench.campaigns import run_campaign
 from gkbench.cyclo import CycElem, CycField, tower_check
-from polydiv import poly_divmod
+from polydiv import cyclotomic, poly_divmod
 from qsampling import random_cyc
 
 F4 = CycField(2, 1)  # m = 4, modulus X^2 + 1
@@ -18,7 +19,9 @@ def test_field_parameters():
     assert (F4.m, F4.degree) == (4, 2)
     assert (F9.m, F9.degree) == (9, 6)
     assert (F16.m, F16.degree) == (16, 8)
-    assert F4.modulus == (Fraction(1), Fraction(0), Fraction(1))
+    assert cyclotomic(F4) == [Fraction(1), Fraction(0), Fraction(1)]
+    # a field keeps its parameters and its levels, not its modulus
+    assert not hasattr(F4, "modulus")
 
 
 def test_rejects_bad_parameters():
@@ -71,6 +74,37 @@ def test_tower_checks():
         tower_check(2, 0)
 
 
+def _evaluate(poly, point, modulus):
+    """poly at point in Q[X]/(modulus), by Horner over Fractions."""
+    value = [Fraction(0)]
+    for c in reversed(poly):
+        product = [Fraction(0)] * (len(value) + len(point) - 1)
+        for i, x in enumerate(value):
+            for j, y in enumerate(point):
+                product[i + j] += x * y
+        product[0] += c
+        value = poly_divmod(product, modulus)[1] or [Fraction(0)]
+    return value
+
+
+def test_tower_check_agrees_with_the_fraction_route():
+    # over the tower campaign's grid: the level-t cyclotomic polynomial
+    # vanishes at X**(p^2) modulo the level-(t+1) one, and not at X**p
+    records = [r for r in run_campaign("tower") if r.claim_id.startswith("tower.compat.")]
+    assert records
+    for record in records:
+        p, t = record.inputs["p"], record.inputs["t"]
+        upper = CycField(p, t + 1)
+        modulus = cyclotomic(upper)
+        image = poly_divmod([Fraction(0)] * (p * p) + [Fraction(1)], modulus)[1]
+        image += [Fraction(0)] * (upper.degree - len(image))
+        assert tuple(image) == (upper.zeta ** (p * p)).coeffs
+        lower = cyclotomic(CycField(p, t))
+        assert _evaluate(lower, image, modulus) == [0]
+        assert record.outputs["compatible"] and tower_check(p, t)
+        assert _evaluate(lower, (upper.zeta**p).coeffs, modulus) != [0]
+
+
 def test_degenerate_level_zero():
     F1 = CycField(2, 0)
     assert F1.degree == 1
@@ -103,8 +137,10 @@ def test_modulus_divides_x_m_minus_one():
         poly = [Fraction(0)] * (field.m + 1)
         poly[0] = Fraction(-1)
         poly[field.m] = Fraction(1)
-        _, rem = poly_divmod(poly, list(field.modulus))
+        _, rem = poly_divmod(poly, cyclotomic(field))
         assert rem == []
+        # and the field's reduction sends its own modulus to zero
+        assert field.element(cyclotomic(field)).is_zero()
 
 
 def test_pow_negative_exponent():
