@@ -168,7 +168,7 @@ def _cmd_growth_estimate(args):
             "residual": round(est.fit_residual, 6),
             "exact": est.exact,
         },
-        True,
+        not est.inconclusive,
     )
     rs = series.rs
     if len(series) >= 4 and all(b - a == 1 for a, b in zip(rs, rs[1:])):

@@ -15,8 +15,11 @@ each zeta**(d+r), r < s, as -sum_{j<p-1} zeta**(j*s+r).
 Products.  Kronecker substitution: each numerator vector is packed into one
 big integer, with slots wide enough for every coefficient of the product,
 the two are multiplied once, and the product is unpacked with signs and
-reduced.  Multiplying by zeta**k is an index shift (`times_zeta`), and
-`conjugate(k)` applies the automorphism zeta -> zeta**k.
+reduced.  Packing and unpacking run in C (`array`, `memoryview`) for slots
+of up to 8 bytes.  `QPoly` products use the same `_pack`/`_unpack`, once
+per product rather than once per term pair.  Multiplying by zeta**k is an
+index shift (`times_zeta`), and `conjugate(k)` applies the automorphism
+zeta -> zeta**k.
 
 Inverses.  Down the tower Q(zeta_{p^k}) > Q(zeta_{p^(k-1)}) > ... > Q: the
 product r of the conjugates of a over the next field down makes a*r a
@@ -31,6 +34,7 @@ with the same machinery.
 from __future__ import annotations
 
 import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -41,34 +45,45 @@ from .ringops import charged_power, render_terms, words
 
 # --- the integer kernel ------------------------------------------------------------
 
-# Slot widths (bytes) that unpack through a machine-word memoryview, whose
-# native byte order must match the little-endian packing; wider slots are
-# sliced out of the byte string one by one.
-_WORDS = {2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+# Slot widths (bytes) that pack and unpack in C, through an array or a
+# memoryview of signed machine words in native (here little-endian) order;
+# wider slots go through int.to_bytes/from_bytes one by one.
+_WORDS = {2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
-def _kronecker(a, b):
-    """Product of two integer coefficient lists, by one big-int product."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8  # bytes; the extra bit is the sign
-    width = next((size for size in _WORDS if size >= width), width)
-    bits = 8 * width
-    packed_a = packed_b = 0
-    for c in reversed(a):
-        packed_a = (packed_a << bits) + c
-    for c in reversed(b):
-        packed_b = (packed_b << bits) + c
-    slots = len(a) + len(b) - 1
-    # Adding 2**(bits-1) to every slot makes each one nonnegative, so the
-    # slots can be read off the bytes and shifted back.
-    half = 1 << (bits - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (packed_a * packed_b + bias).to_bytes(slots * width, "little")
-    if width in _WORDS:
-        words = memoryview(raw).cast(_WORDS[width])
+def _width(bound: int) -> int:
+    """Slot width in bytes for signed values of magnitude at most `bound`."""
+    width = (bound.bit_length() + 8) // 8  # the extra bit is the sign
+    return next((size for size in _WORDS if size >= width), width)
+
+
+def _tops(width: int, slots: int) -> int:
+    """The top bit of each of `slots` slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack(nums, width: int) -> int:
+    """sum_k nums[k] * 2**(8*width*k).  Written in two's complement, each
+    negative slot borrowed one from the slot above; its top bit repays it."""
+    code = _WORDS.get(width)
+    if code:
+        raw = array(code, nums).tobytes()
     else:
-        words = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    return [w - half for w in words]
+        raw = b"".join(n.to_bytes(width, "little", signed=True) for n in nums)
+    packed = int.from_bytes(raw, "little")
+    return packed - ((packed & _tops(width, len(nums))) << 1)
+
+
+def _unpack(packed: int, width: int, slots: int) -> list:
+    """The signed slots of a packed value, each below 2**(8*width - 1) in
+    magnitude: adding the top bits makes every slot nonnegative, and flipping
+    them back leaves each one in two's complement."""
+    tops = _tops(width, slots)
+    raw = ((packed + tops) ^ tops).to_bytes(slots * width, "little")
+    code = _WORDS.get(width)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
 class _Level:
@@ -104,7 +119,9 @@ class _Level:
         return c
 
     def mul(self, a, b):
-        return self.reduce(_kronecker(a, b))
+        """a * b for nonzero vectors, by one big-int product."""
+        width = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+        return self.reduce(_unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1))
 
     def shift(self, a, k: int):
         """a * zeta**k."""

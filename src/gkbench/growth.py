@@ -8,12 +8,14 @@ against log(r) over the tail half is computed alongside as the raw
 statistic, and is what the snapping falls back to when no difference
 certificate exists (non-uniform spacing, noisy data).  Growth faster than
 every fixed polynomial degree is flagged heuristically: the fitted slope
-keeps increasing across three tail windows.
+keeps increasing across three tail windows, unless the series is just short
+of certifying the degree the slope points to: then it is inconclusive.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 SNAP_TOLERANCE = 0.1
@@ -56,7 +58,13 @@ class GrowthSeries:
             try:
                 pts.append((int(pieces[0]), int(pieces[1])))
             except ValueError:
-                raise ValueError(f"line {lineno}: expected integers 'r,dim', got {line!r}") from None
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if limit and max(map(_digit_count, pieces)) > limit:
+                    raise ValueError(
+                        f"line {lineno}: an integer in {_prefix(line)} has more than "
+                        f"{limit} digits, the interpreter's limit for reading one"
+                    ) from None
+                raise ValueError(f"line {lineno}: expected integers 'r,dim', got {_prefix(line)}") from None
         return cls(pts)
 
     @classmethod
@@ -78,6 +86,19 @@ class GrowthSeries:
         return f"GrowthSeries({list(self.points)!r})"
 
 
+def _digit_count(text: str) -> int:
+    """Digits of a signed decimal integer, or 0 if text is not one."""
+    text = text.strip()
+    if text[:1] in ("+", "-"):
+        text = text[1:]
+    return len(text) if text.isdecimal() else 0
+
+
+def _prefix(text: str, size: int = 40) -> str:
+    """repr of text, cut to its first `size` characters."""
+    return repr(text) if len(text) <= size else repr(text[:size]) + "..."
+
+
 class DegreeEstimate(NamedTuple):
     """Outcome of the degree estimator.
 
@@ -85,7 +106,8 @@ class DegreeEstimate(NamedTuple):
     degree when one was established (exact=True marks a finite-difference
     certificate, exact=False the 0.1 tolerance snap of raw); unbounded flags
     super-polynomial growth; fit_residual is the sum of squared residuals of
-    the log-log fit.
+    the log-log fit; inconclusive marks a series too short to tell a
+    polynomial still climbing to its degree from super-polynomial growth.
     """
 
     raw: float
@@ -93,9 +115,12 @@ class DegreeEstimate(NamedTuple):
     unbounded: bool
     fit_residual: float
     exact: bool
+    inconclusive: bool = False
 
     @property
     def label(self) -> str:
+        if self.inconclusive:
+            return "inconclusive"
         if self.unbounded:
             return "unbounded"
         if self.snapped is None:
@@ -178,7 +203,8 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     A finite-difference certificate (uniform spacing, differences eventually
     constant) pins the integer degree exactly; otherwise the raw log-log
     slope is snapped to the nearest integer within 0.1, the three-window
-    heuristic flags unbounded growth, and anything else is reported raw.
+    heuristic flags unbounded growth (or an inconclusive series), and
+    anything else is reported raw.
     """
     pts = series.points
     if len(pts) < MIN_POINTS:
@@ -189,7 +215,12 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     if certified is not None:
         return DegreeEstimate(raw, certified, False, residual, True)
     if _windows_increasing(pts):
-        return DegreeEstimate(raw, None, True, residual, False)
+        # a polynomial's slope climbs to its degree from below, about one
+        # behind at small r: a series one or two points short of certifying
+        # degree floor(raw) + 2 may be only climbing
+        reach = len(pts) - 3  # the highest degree three equal differences certify
+        short = reach < math.floor(raw) + 2 <= reach + 2
+        return DegreeEstimate(raw, None, not short, residual, False, short)
     nearest = round(raw)
     if nearest >= 0 and abs(raw - nearest) <= SNAP_TOLERANCE:
         return DegreeEstimate(raw, int(nearest), False, residual, False)

@@ -23,11 +23,11 @@ embedded into the destination field).
 from __future__ import annotations
 
 import itertools
-from math import comb
-from operator import add
+from math import comb, lcm
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cyclo import CycElem, CycField
+from .cyclo import CycElem, CycField, _normal, _pack, _unpack, _width
 from .ringops import TermSum, charged_power, render_terms
 from . import budget
 
@@ -193,22 +193,41 @@ class QPoly(TermSum):
         return QPoly._make(self.parent, {e: c * value for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """One term pair is a field product and an index shift.  More are
+        summed by Kronecker substitution once per product: each coefficient
+        is packed once, over its side's common denominator, in slots wide
+        enough for any output slot (at most min(|a|, |b|) pairs meet in an
+        output monomial).  A pair costs one big-int product, shifted by
+        -crossings slots (zeta**m = 1) into its monomial's sum; each sum is
+        unpacked, reduced and brought to lowest terms once."""
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check(other)
-        budget.charge(max(1, len(self.terms) * len(other.terms)))
-        out = {}
-        for e, a in self.terms.items():
-            for f, b in other.terms.items():
-                # x^e * x^f = q^(-sum_{i>j} e_i f_j) * x^(e+f)
-                crossings = prefix = 0
-                for ei, fi in zip(e, f):
-                    crossings += ei * prefix
-                    prefix += fi
-                coeff = (a * b).times_zeta(-crossings)
+        a, b = self.terms, other.terms
+        budget.charge(max(1, len(a) * len(b)))
+        if len(a) * len(b) <= 1:
+            return QPoly._make(self.parent, {
+                tuple(map(add, e, f)): (x * y).times_zeta(-_crossings(e, f))
+                for e, x in a.items() for f, y in b.items()
+            })
+        field = self.parent.field
+        level = field._level
+        den_a, nums_a, top_a = _over_lcm(a)
+        den_b, nums_b, top_b = _over_lcm(b)
+        width = _width(top_a * top_b * level.d * min(len(a), len(b)))
+        bits, m = 8 * width, level.m
+        packed_b = [(f, _pack(nums, width)) for f, nums in nums_b.items()]
+        sums = {}
+        for e, nums in nums_a.items():
+            x = _pack(nums, width)
+            for f, y in packed_b:
                 exps = tuple(map(add, e, f))
-                acc = out.get(exps)
-                out[exps] = coeff if acc is None else acc + coeff
+                sums[exps] = sums.get(exps, 0) + ((x * y) << (bits * (-_crossings(e, f) % m)))
+        out = {}
+        for exps, packed in sums.items():
+            nums = level.reduce(_unpack(packed, width, packed.bit_length() // bits + 1))
+            if any(nums):
+                out[exps] = _normal(field, nums, den_a * den_b)
         return QPoly._make(self.parent, out)
 
     def __pow__(self, exponent: int):
@@ -241,6 +260,19 @@ class QPoly(TermSum):
             )
             for exps in sorted(self.terms, reverse=True)  # x1-leading terms first
         )
+
+
+def _crossings(e, f) -> int:
+    """sum_{i>j} e_i f_j: the swaps that sort x^e x^f."""
+    return sum(map(mul, e, itertools.accumulate(f[:-1], initial=0)))
+
+
+def _over_lcm(terms: dict):
+    """(den, {key: numerators over den}, largest |numerator|), den the lcm
+    of the coefficients' denominators."""
+    den = lcm(*(c.den for c in terms.values()))
+    nums = {k: c.nums if c.den == den else [n * (den // c.den) for n in c.nums] for k, c in terms.items()}
+    return den, nums, max(max(map(abs, v)) for v in nums.values())
 
 
 # --- dimension counting -------------------------------------------------------

@@ -1,9 +1,11 @@
 """CLI contract on malformed environment input: exit 2, one stderr line,
 never a traceback."""
 
+import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,29 @@ def test_growth_series_with_a_non_integer_field_names_its_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: line 2: expected integers 'r,dim', got '2,x'"]
+
+
+def test_growth_series_past_the_digit_limit_names_it(tmp_path):
+    path = tmp_path / "series.txt"
+    limit = sys.get_int_max_str_digits()  # 4300 unless the environment sets it
+    path.write_text("1," + "9" * (limit + 700) + "\n", encoding="utf-8")
+    proc = _cli("growth", "estimate", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: line 1: ") and f"more than {limit} digits" in line
+    assert len(line) < 160
+
+
+def test_short_exact_series_reads_inconclusive(tmp_path):
+    # C(r+4, 4) over r = 1..6: one point short of certifying degree 4
+    path = tmp_path / "series.txt"
+    path.write_text("".join(f"{r},{comb(r + 4, 4)}\n" for r in range(1, 7)), encoding="utf-8")
+    proc = _cli("growth", "estimate", str(path), "--format", "machine")
+    assert proc.returncode == 1
+    degree = json.loads(proc.stdout.splitlines()[0])
+    assert degree["claim_id"] == "growth.degree" and degree["verdict"] == "fail"
+    assert degree["outputs"]["degree"] == "inconclusive"
 
 
 @pytest.mark.parametrize("expr", ["x7", "x7*s1", "s1*x7"])

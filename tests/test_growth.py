@@ -1,6 +1,7 @@
 """Growth estimators: degree detection, slope extraction, unbounded flag."""
 
 import random
+import sys
 from math import comb
 
 import pytest
@@ -35,6 +36,17 @@ def test_from_text():
         GrowthSeries.from_text("1 2\n")
     with pytest.raises(ValueError, match="line 3: expected integers 'r,dim', got '2,x'"):
         GrowthSeries.from_text("1,2\n# comment\n2,x\n")
+    with pytest.raises(ValueError, match=r"got '1,x9{37}'\.\.\.$"):
+        GrowthSeries.from_text("1,x" + "9" * 5000)
+
+
+def test_from_text_names_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as info:
+        GrowthSeries.from_text("1,2\n2," + "9" * (limit + 700))
+    message = str(info.value)
+    assert message.startswith(f"line 2: an integer in '2,{'9' * 38}'... has more than {limit} digits")
+    assert len(message) < 160
 
 
 def test_degree_binomial_snaps_to_two():
@@ -83,6 +95,18 @@ def test_degree_unbounded_on_superpolynomial():
     assert est.label == "unbounded"
     est2 = degree_estimate(series(lambda r: 2**r, 1, 14))
     assert est2.unbounded
+
+
+def test_short_exact_series_is_inconclusive():
+    # C(r+4, 4) needs 7 points for three equal fourth differences; over 6
+    # its slope is still climbing to 4, which the windows cannot tell from
+    # super-polynomial growth
+    est = degree_estimate(series(lambda r: comb(r + 4, 4), 1, 6))
+    assert est.inconclusive and not est.unbounded and est.snapped is None
+    assert est.label == "inconclusive"
+    assert degree_estimate(series(lambda r: comb(r + 4, 4), 1, 7)).snapped == 4
+    for fn, hi in ((lambda r: r**r, 12), (lambda r: 2**r, 14)):
+        assert not degree_estimate(series(fn, 1, hi)).inconclusive
 
 
 def test_label_rendering():
