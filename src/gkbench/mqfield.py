@@ -300,11 +300,11 @@ class MQElem(TermSum):
         """Negate sqrt(p_i) for every index i whose bit is set in mask."""
         if not mask:
             return self
-        return MQElem._make(
-            self.parent,
-            {s: -c if (s & mask).bit_count() & 1 else c for s, c in self.terms.items()},
-            self.den,
-        )
+        # sign changes keep the form canonical, so no zero or gcd pass
+        elem = object.__new__(MQElem)
+        elem.parent, elem.den = self.parent, self.den
+        elem.terms = {s: -c if (s & mask).bit_count() & 1 else c for s, c in self.terms.items()}
+        return elem
 
     # --- rendering ----------------------------------------------------------
 

@@ -5,7 +5,8 @@ An element keeps a finite {index: nonzero exponent} map; indices without an
 entry read as exponent zero.  The squares subgroup (every exponent even) and
 the sign twist an element induces on the radical generators of an MQElem
 live here too: x acts on sqrt(p_i) by the sign (-1)**exponent_i, which makes
-the action of the squares subgroup trivial.
+the action of the squares subgroup trivial.  The mask of the odd exponents
+is kept; a product's is the XOR of its factors' masks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ LT, EQ, GT = -1, 0, 1
 class GroupElem:
     """Finitely supported integer exponent vector, as a multiplicative element."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "_hash", "_odd")
 
     def __init__(self, exps=()):
         items = exps.items() if hasattr(exps, "items") else exps
@@ -34,7 +35,15 @@ class GroupElem:
             if e:
                 clean[i] = e
         self.exps = clean
+        self._odd = sum(1 << (i - 1) for i, e in clean.items() if e & 1)
         self._hash = hash(tuple(sorted(clean.items())))
+
+    @classmethod
+    def _make(cls, exps: dict, odd: int) -> "GroupElem":
+        """Trusted constructor: nonzero exponents, `odd` the mask of odd ones."""
+        elem = object.__new__(cls)
+        elem.exps, elem._odd, elem._hash = exps, odd, hash(tuple(sorted(exps.items())))
+        return elem
 
     @classmethod
     def identity(cls) -> "GroupElem":
@@ -56,13 +65,21 @@ class GroupElem:
     def __mul__(self, other):
         if not isinstance(other, GroupElem):
             return NotImplemented
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         out = dict(self.exps)
         for i, e in other.exps.items():
-            out[i] = out.get(i, 0) + e
-        return GroupElem(out)
+            e += out.get(i, 0)
+            if e:
+                out[i] = e
+            else:
+                del out[i]
+        return GroupElem._make(out, self._odd ^ other._odd)
 
     def inv(self) -> "GroupElem":
-        return GroupElem({i: -e for i, e in self.exps.items()})
+        return GroupElem._make({i: -e for i, e in self.exps.items()}, self._odd)
 
     def __pow__(self, power: int):
         return GroupElem({i: e * power for i, e in self.exps.items()})
@@ -113,7 +130,7 @@ class GroupElem:
         """Apply the induced field automorphism, f_i's sign flip for every odd
         exponent n_i, to a.  The coefficient basis must cover the support."""
         self.check_within(len(a.parent))
-        return a._flip(sum(1 << (i - 1) for i, e in self.exps.items() if e % 2))
+        return a._flip(self._odd)
 
     # --- rendering ----------------------------------------------------------
 

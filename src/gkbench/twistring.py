@@ -4,6 +4,12 @@ coefficients and the twisted convolution
 
     (a_x * x)(b_y * y) = a_x * twist_x(b_y) * xy.
 
+A product is one integer accumulation: with each side's numerators over its
+common denominator, every term pair adds c * d * pp[s & t] into the
+{mask: int} numerators of xy, for the terms c*sqrt(p_s) of a_x and
+d*sqrt(p_t) of twist_x(b_y); each xy becomes one MQElem at the end.  A
+commutator runs its second order into the same sums with sign -1.
+
 Only finite supports are represented here; everything the package verifies
 about the construction reduces to finite data.  Centrality can be decided
 two ways: structurally (support made of squares, rational coefficients) or
@@ -16,6 +22,8 @@ the support); ring operations build their canonical results directly.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .mqfield import MQElem, PrimeBasis
 from .ordgroup import GroupElem
@@ -74,18 +82,7 @@ class TwistedElem(TermSum):
     # --- ring operations --------------------------------------------------------
 
     def __mul__(self, other):
-        if not isinstance(other, TwistedElem):
-            return NotImplemented
-        self._check(other)
-        budget.charge(len(self.terms) * len(other.terms))
-        out = {}
-        for x, a in self.terms.items():
-            for y, b in other.terms.items():
-                z = x * y
-                contrib = a * x.twist(b)
-                acc = out.get(z)
-                out[z] = contrib if acc is None else acc + contrib
-        return TwistedElem._make(self.parent, out)
+        return _convolve(self, other) if isinstance(other, TwistedElem) else NotImplemented
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, TwistedElem.one(self.parent))
@@ -93,6 +90,8 @@ class TwistedElem(TermSum):
     def inv(self) -> "TwistedElem":
         """Inverse of a single term a*x: twist_inv(x)(a^-1) * x^-1.  General
         twisted elements would need infinite series and are rejected."""
+        if not self.terms:
+            raise ZeroDivisionError("cannot invert zero")
         if len(self.terms) != 1:
             raise ValueError(
                 "only single-term twisted elements can be inverted; general "
@@ -103,7 +102,7 @@ class TwistedElem(TermSum):
         return TwistedElem._make(self.parent, {ginv: ginv.twist(coeff.inv())})
 
     def commutator(self, other: "TwistedElem") -> "TwistedElem":
-        return self * other - other * self
+        return _convolve(self, other, commute=True)
 
     # --- the two centrality tests -------------------------------------------------
 
@@ -145,3 +144,49 @@ class TwistedElem(TermSum):
             (str(self.terms[g]), "" if g.is_identity() else str(g))
             for g in sorted(self.terms)  # GroupElem.__lt__: the group's total order
         )
+
+
+def _common(terms: dict):
+    """(den, {g: c'}) for the least common denominator den of the
+    coefficients, where c'.terms are c's numerators over den: c itself, or
+    c rescaled into an MQElem of denominator 1, which nothing reduces."""
+    if len(terms) == 1:
+        (c,) = terms.values()
+        return c.den, terms
+    den = lcm(*(c.den for c in terms.values()))
+    scaled = {}
+    for g, c in terms.items():
+        f = den // c.den
+        scaled[g] = c if f == 1 else MQElem._make(c.parent, {s: v * f for s, v in c.terms.items()})
+    return den, scaled
+
+
+def _convolve(a: TwistedElem, b: TwistedElem, commute: bool = False) -> TwistedElem:
+    """a*b, or a*b - b*a if `commute` (see the module docstring), charged
+    one op per term pair of each product."""
+    a._check(b)
+    pairs = len(a.terms) * len(b.terms)
+    budget.charge(pairs)
+    if commute:
+        budget.charge(pairs)  # as two products, so an exhausted budget reads the same
+    parent = a.parent
+    if not (a.terms and b.terms):
+        return TwistedElem._make(parent, {})
+    make, pp = MQElem._make, parent.pp
+    (da, sa), (db, sb) = _common(a.terms), _common(b.terms)
+    out = {}
+    for left, right, sign in ((sa, sb, 1), (sb, sa, -1))[: 1 + commute]:
+        for x, c in left.items():
+            cs = c.terms.items() if sign == 1 else [(s, -u) for s, u in c.terms.items()]
+            for y, d in right.items():
+                z = x * y
+                acc = out.get(z)
+                if acc is None:
+                    acc = out[z] = {}
+                get = acc.get
+                for t, v in x.twist(d).terms.items():
+                    for s, u in cs:
+                        k = s ^ t
+                        acc[k] = get(k, 0) + u * v * pp[s & t]
+    den = da * db
+    return TwistedElem._make(parent, {z: make(parent, acc, den) for z, acc in out.items()})

@@ -82,6 +82,13 @@ def test_powers_are_charged_to_the_budget(argv, cap):
     assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr
 
 
+def test_inverse_of_twisted_zero_exits_2_with_one_line():
+    proc = _cli("eval", "--context", "twisted", "--primes", "2", "(x1 - x1)^-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: cannot invert zero"]
+
+
 def test_group_powers_stay_free():
     proc = _cli("eval", "--context", "group", "x1^200000000000", "--format", "machine",
                 WORKBENCH_MAX_OPS="1")

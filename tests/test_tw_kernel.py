@@ -1,0 +1,125 @@
+"""The one-accumulation twisted product and commutator of `TwistedElem`
+against the per-term-pair oracle in tworacle.py: bases of 1 to 6 primes, odd
+and even exponents, coprime and repeated denominators up to 2**40, term
+pairs that cancel inside one output group element, commutators that cancel
+to zero, zero, one and single-term operands, the budget charges, and
+results in lowest terms."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gkbench import budget
+from gkbench.mqfield import MQElem, PrimeBasis
+from gkbench.ordgroup import GroupElem
+from gkbench.twistring import TwistedElem
+from tworacle import tw_commutator, tw_mul
+
+BASES = {n: PrimeBasis.first(n) for n in range(1, 7)}
+# a few small coprime denominators beside arbitrary ones up to 2**40; each
+# case draws a pool of them, so coefficients repeat or mix denominators
+DENOMINATORS = st.one_of(st.sampled_from((1, 2, 3, 5, 6, 7, 2**40)), st.integers(1, 2**40))
+
+
+@st.composite
+def coefficients(draw, basis, dens):
+    """A nonzero MQElem with 1 to 4 radical terms, each over a pool denominator."""
+    n = len(basis)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+    return MQElem(basis, {
+        frozenset(i for i in range(1, n + 1) if m >> (i - 1) & 1):
+            Fraction(draw(st.integers(-2**40, 2**40).filter(bool)), draw(st.sampled_from(dens)))
+        for m in masks
+    })
+
+
+def group_elements(n):
+    """Exponents in -3..3 on indices 1..n: odd and even ones, the identity too."""
+    return st.dictionaries(st.integers(1, n), st.integers(-3, 3), max_size=3).map(GroupElem)
+
+
+@st.composite
+def operands(draw, basis, dens):
+    """Zero, one, a single term, or a sum of up to four terms."""
+    kind = draw(st.sampled_from(("zero", "one", "single", "sum", "sum")))
+    if kind == "zero":
+        return TwistedElem.zero(basis)
+    if kind == "one":
+        return TwistedElem.one(basis)
+    size = 1 if kind == "single" else draw(st.integers(2, 4))
+    keys = draw(st.lists(group_elements(len(basis)), min_size=1, max_size=size, unique=True))
+    return TwistedElem(basis, {g: draw(coefficients(basis, dens)) for g in keys})
+
+
+@st.composite
+def cancelling_pair(draw, basis, dens):
+    """a = c x + c' w and b = d y + d' v with w = xg, v = g^-1 y, so that the
+    pairs (x, y) and (w, v) both land on xy, and c' chosen so that they
+    cancel there: c' twist_w(d') = -c twist_x(d)."""
+    n = len(basis)
+    x, y, g = (draw(group_elements(n)) for _ in range(3))
+    if g.is_identity():
+        g = GroupElem.generator(draw(st.integers(1, n)))
+    w, v = x * g, g.inv() * y
+    c, d, d2 = (draw(coefficients(basis, dens)) for _ in range(3))
+    c2 = -(c * x.twist(d)) * w.twist(d2).inv()
+    a = TwistedElem(basis, {x: c}) + TwistedElem(basis, {w: c2})
+    b = TwistedElem(basis, {y: d}) + TwistedElem(basis, {v: d2})
+    return a, b
+
+
+@st.composite
+def cases(draw):
+    basis = BASES[draw(st.integers(1, 6))]
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(cancelling_pair(basis, dens))
+    return draw(operands(basis, dens)), draw(operands(basis, dens))
+
+
+def charged(fn, *args):
+    """(fn(*args), the budget ops it charged)."""
+    used = budget.used()
+    value = fn(*args)
+    return value, budget.used() - used
+
+
+def assert_canonical(value):
+    """Nonzero coefficients in lowest terms; support elements whose cached
+    odd-exponent mask and hash match a freshly validated copy."""
+    for g, c in value.terms.items():
+        assert c.terms and c.den > 0 and gcd(c.den, *c.terms.values()) == 1
+        assert all(type(v) is int and v for v in c.terms.values())
+        fresh = GroupElem(g.exps)
+        assert (g._odd, hash(g)) == (fresh._odd, hash(fresh))
+
+
+@given(cases())
+def test_kernel_matches_the_oracle(case):
+    a, b = case
+    pairs = len(a.terms) * len(b.terms)
+    product, ops = charged(TwistedElem.__mul__, a, b)
+    assert (product, ops) == (charged(tw_mul, a, b)[0], pairs)
+    assert_canonical(product)
+    bracket, ops = charged(TwistedElem.commutator, a, b)
+    assert (bracket, ops) == (charged(tw_commutator, a, b)[0], 2 * pairs)
+    assert_canonical(bracket)
+    # whole commutators that cancel: with itself, with one, with its square
+    for other in (a, TwistedElem.one(a.parent), a * a):
+        assert a.commutator(other) == tw_commutator(a, other) == TwistedElem.zero(a.parent)
+
+
+def test_cancelling_pairs_leave_no_term_at_their_group_element():
+    basis = BASES[3]
+    x, y, g = GroupElem({1: 1, 2: -2}), GroupElem({3: 3}), GroupElem({1: -1, 3: 1})
+    w, v = x * g, g.inv() * y
+    c, d = basis.element({(1,): Fraction(3, 7), (2, 3): 2}), basis.element({(1, 3): Fraction(5, 2**40)})
+    d2 = basis.element({(): Fraction(-1, 3), (1,): 1})
+    c2 = -(c * x.twist(d)) * w.twist(d2).inv()
+    a = TwistedElem(basis, {x: c, w: c2})
+    b = TwistedElem(basis, {y: d, v: d2})
+    product = a * b
+    assert x * y not in product.terms and len(product.terms) == 2
+    assert product == tw_mul(a, b)
