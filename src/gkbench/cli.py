@@ -184,9 +184,18 @@ def _cmd_growth_estimate(args):
         )
 
 
+# The options each `eval` context reads; any other one given is bad input.
+_EVAL_OPTIONS = {
+    "field": ("primes",), "twisted": ("primes",), "quantum": ("n", "p", "t"), "group": (),
+}
+
+
 def _cmd_eval(args):
     from .parser import max_symbol_index, parse, to_field, to_group, to_quantum, to_twisted
 
+    for option in ("primes", "n", "p", "t"):
+        if getattr(args, option) is not None and option not in _EVAL_OPTIONS[args.context]:
+            raise ValueError(f"context {args.context!r} takes no option '--{option}'")
     node = parse(args.expr, args.context)
     # an explicit --primes or --n wins, zero included; otherwise the
     # largest index the expression uses (at least 1)
@@ -195,7 +204,9 @@ def _cmd_eval(args):
         value = to_group(node)
     elif args.context == "quantum":
         n = max(1, gens) if args.n is None else args.n
-        value = to_quantum(node, _algebra(n, args.p, args.t))
+        p = 2 if args.p is None else args.p
+        t = 1 if args.t is None else args.t
+        value = to_quantum(node, _algebra(n, p, t))
     else:
         twisted = args.context == "twisted"
         size = max(1, max_symbol_index(node, "radical"), gens if twisted else 0)
@@ -296,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--context", choices=("field", "group", "twisted", "quantum"), required=True)
     ev.add_argument("--primes", type=int, help="basis size for field/twisted contexts")
     ev.add_argument("--n", type=int, help="generator count for quantum context")
-    ev.add_argument("--p", type=int, default=2)
-    ev.add_argument("--t", type=int, default=1)
+    ev.add_argument("--p", type=int, help="base prime for quantum context (default 2)")
+    ev.add_argument("--t", type=int, help="tower level for quantum context (default 1)")
     ev.add_argument("expr")
     ev.set_defaults(handler=_cmd_eval)
 

@@ -22,7 +22,6 @@ import itertools
 from math import comb, factorial
 from typing import NamedTuple
 
-from .growth import check_fit_window
 from .ordgroup import GroupElem
 from . import budget
 
@@ -169,6 +168,8 @@ def rn_window(pairs: int, r_max: int | None = None) -> tuple[int, int]:
     from r = max(1, 2n), where every binary part has entered the count and
     rn_dim grows affinely, to r_max (default 2n + 12).  The fit needs
     growth.MIN_POINTS points, so a shorter r_max raises ValueError."""
+    from .growth import check_fit_window  # imported here: `gamma coeff` and `witness` never fit
+
     r_min = max(1, 2 * pairs)
     r_max = 2 * pairs + 12 if r_max is None else r_max
     check_fit_window(r_min, r_max, f" for n = {pairs}")

@@ -5,23 +5,28 @@
     factor := atom ('^' sign? integer)?
     atom   := rational | ident | '(' expr ')'
 
-Identifiers: s<k> radical generators, x<k> group/quantum generators, e the
-group identity, z the root of unity, g the gamma series symbol.  g is
-recognized by the grammar but has no finite representation, so every
-evaluation context rejects it.  Parsing is context-gated (field, group,
-twisted, quantum) so that diagnostics carry the offending position.
+Four parts.  A scanner, one compiled regular expression, reads ASCII digits,
+ASCII identifiers, the seven operators and whitespace; any other character
+is a ParseError at its line and column.  The parser builds the tree.  One
+table, `_LEAVES` {context: {kind: leaf}}, holds each context's vocabulary:
+a literal (`lit`), s<k> radicals (`radical`), x<k> generators (`xgen`), z
+the root of unity (`cyclo`) and e the group identity (`identity`).  g, the
+gamma series symbol, is recognized but has no finite representation, so
+every context rejects it.  The parser reads the table to reject a symbol or
+literal its context lacks, at the offending position.
 
-One fold, `_evaluate`, turns an accepted tree into a value in every context:
-powers, products and sums go to the value type's own operators, so each type
-decides what a negative power means and charges the work budget for powers,
-and a per-context leaf function maps literals and symbols.  `to_field`,
-`to_group`, `to_twisted` and `to_quantum` are those contexts.  In the quantum
-context the fold is the only route to a normal form: `QPoly` products sort
-their monomials in closed form, so `quantum nf` needs no word rewriting.
+One fold, `_evaluate`, reads the same table to turn an accepted tree into a
+value in every context: powers, products and sums go to the value type's own
+operators, so each type decides what a negative power means and charges the
+work budget for powers.  `to_field`, `to_group`, `to_twisted` and
+`to_quantum` are its entry points.  In the quantum context the fold is the
+only route to a normal form: `QPoly` products sort their monomials in closed
+form, so `quantum nf` needs no word rewriting.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -32,19 +37,10 @@ if TYPE_CHECKING:  # annotations only: a context loads its value types itself
     from .qaffine import QAlgebra, QPoly
     from .twistring import TwistedElem
 
-CONTEXTS = ("field", "group", "twisted", "quantum")
-
 # Each parenthesis costs four frames of recursive descent; past this many
 # open ones the parser stops with a ParseError instead of exhausting the
 # interpreter's recursion limit.
 MAX_NESTING = 200
-
-_ALLOWED_SYMBOLS = {
-    "field": {"radical"},
-    "group": {"xgen", "identity"},
-    "twisted": {"radical", "xgen", "identity"},
-    "quantum": {"cyclo", "xgen"},
-}
 
 
 class ParseError(ValueError):
@@ -61,10 +57,11 @@ class ParseError(ValueError):
 
 class Lit(NamedTuple):
     value: Fraction
+    kind = "lit"  # a class attribute, not a field: the leaf table's key
 
 
 class Sym(NamedTuple):
-    kind: str  # "radical" | "xgen" | "cyclo" | "identity" | "gamma"
+    kind: str  # "radical" | "xgen" | "cyclo" | "identity"
     index: Optional[int]
 
 
@@ -81,53 +78,73 @@ class Sum(NamedTuple):
     terms: tuple  # of (sign, node), sign in {1, -1}
 
 
-# --- tokenizer -------------------------------------------------------------------
+# --- contexts -------------------------------------------------------------------
+
+
+def _twisted():
+    from .twistring import TwistedElem  # loaded only when the twisted context runs
+
+    return TwistedElem
+
+
+# Each context's leaves: kind -> (node, parent) -> value, the parent being
+# the context's PrimeBasis or QAlgebra (None for the group).
+_LEAVES = {
+    "field": {
+        "lit": lambda n, basis: basis.rational(n.value),
+        "radical": lambda n, basis: basis.radical(n.index),
+    },
+    "group": {
+        "xgen": lambda n, _: GroupElem.generator(n.index),
+        "identity": lambda n, _: GroupElem.identity(),
+    },
+    "twisted": {
+        "lit": lambda n, basis: _twisted().from_scalar(basis.rational(n.value)),
+        "radical": lambda n, basis: _twisted().from_scalar(basis.radical(n.index)),
+        "xgen": lambda n, basis: _twisted().from_group(basis, GroupElem.generator(n.index)),
+        "identity": lambda n, basis: _twisted().one(basis),
+    },
+    "quantum": {
+        "lit": lambda n, alg: alg.scalar(alg.field.rational(n.value)),
+        "cyclo": lambda n, alg: alg.scalar(alg.field.zeta),
+        "xgen": lambda n, alg: alg.generator(n.index),
+    },
+}
+CONTEXTS = tuple(_LEAVES)
+# the identifiers of each kind: z and e, s<k> and x<k>
+_NAMED = {"z": "cyclo", "e": "identity"}
+_INDEXED = {"s": "radical", "x": "xgen"}
+
+
+# --- scanner ----------------------------------------------------------------------
 
 
 class _Token(NamedTuple):
-    kind: str
+    kind: str  # "INT", "IDENT", "EOF" or the operator character itself
     value: str
-    line: int
-    column: int
+    offset: int  # of its first character in the text
+
+
+# One token and the whitespace before it.  The scan stops at the last
+# non-space character, so every match ends on a token.
+_SCAN = re.compile(
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*^/()])|(?P<BAD>\S))"
+)
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of text[offset]; only '\\n' starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    for m in _SCAN.finditer(text, 0, len(text.rstrip())):
+        kind, value = m.lastgroup, m[m.lastindex]
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", *_position(text, m.start(kind)))
+        tokens.append(_Token(value if kind == "OP" else kind, value, m.start(kind)))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -135,8 +152,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], context: str):
-        self.tokens = tokens
+    def __init__(self, text: str, context: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.context = context
         self.depth = 0  # parentheses currently open
@@ -151,7 +169,7 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *_position(self.text, tok.offset))
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
@@ -203,12 +221,8 @@ class _Parser:
             self.advance()
         tok = self.expect("INT")
         exponent = sign * int(tok.value)
-        if (
-            exponent < 0
-            and self.context == "quantum"
-            and isinstance(atom, Sym)
-            and atom.kind == "xgen"
-        ):
+        on_generator = isinstance(atom, Sym) and atom.kind == "xgen"
+        if exponent < 0 and on_generator and self.context == "quantum":
             self.error("negative exponents are not allowed on quantum generators", tok)
         return Pow(atom, exponent)
 
@@ -233,8 +247,8 @@ class _Parser:
                 if int(den.value) == 0:
                     self.error("zero denominator", den)
                 value = value / int(den.value)
-            if self.context == "group":
-                self.error("rational literals are not group elements", tok)
+            if "lit" not in _LEAVES[self.context]:
+                self.error(f"rational literals are not {self.context} elements", tok)
             return Lit(value)
         if tok.kind == "IDENT":
             self.advance()
@@ -249,22 +263,16 @@ class _Parser:
                 "evaluation context; use the gamma subcommands",
                 tok,
             )
-        if name == "z":
-            sym = Sym("cyclo", None)
-        elif name == "e":
-            sym = Sym("identity", None)
-        elif name[0] == "s" and name[1:].isdigit():
-            sym = Sym("radical", int(name[1:]))
-        elif name[0] == "x" and name[1:].isdigit():
-            sym = Sym("xgen", int(name[1:]))
+        if name in _NAMED:
+            sym = Sym(_NAMED[name], None)
+        elif name[0] in _INDEXED and name[1:].isdigit():
+            sym = Sym(_INDEXED[name[0]], int(name[1:]))
+            if sym.index < 1:
+                self.error("generator indices start at 1", tok)
         else:
             self.error(f"unknown symbol {name!r}", tok)
-        if sym.index is not None and sym.index < 1:
-            self.error("generator indices start at 1", tok)
-        if sym.kind not in _ALLOWED_SYMBOLS[self.context]:
-            self.error(
-                f"symbol {name!r} is not allowed in {self.context} context", tok
-            )
+        if sym.kind not in _LEAVES[self.context]:
+            self.error(f"symbol {name!r} is not allowed in {self.context} context", tok)
         return sym
 
 
@@ -273,7 +281,7 @@ def parse(text: str, context: str):
     ParseError with the offending line and column."""
     if context not in CONTEXTS:
         raise ValueError(f"unknown context {context!r}; pick one of {CONTEXTS}")
-    parser = _Parser(_tokenize(text), context)
+    parser = _Parser(text, context)
     node = parser.expr()
     tok = parser.peek()
     if tok.kind != "EOF":
@@ -304,84 +312,49 @@ def max_symbol_index(node, kind: str) -> int:
     )
 
 
-# --- evaluators -------------------------------------------------------------------------
+# --- evaluation -------------------------------------------------------------------------
 
 
-def _evaluate(node, leaf):
+def _evaluate(node, context: str, parent):
     """The one fold over a tree: powers, products and sums go to the value
     type's own operators, so each type decides what a negative power means
-    and charges the budget for powers; `leaf` maps a Lit or Sym to a value
-    and raises ValueError for a kind the context lacks.  Plain loops keep it
-    at one frame per tree level, so every tree within MAX_NESTING evaluates
-    (reduce over map costs C frames too)."""
+    and charges the budget for powers; the context's leaf maps a Lit or Sym
+    to a value, and a kind the context lacks (a tree parsed in another
+    context) is a ValueError.  Plain loops keep it at one frame per tree
+    level, so every tree within MAX_NESTING evaluates (reduce over map costs
+    C frames too)."""
     if isinstance(node, Pow):
-        return _evaluate(node.base, leaf) ** node.exponent
+        return _evaluate(node.base, context, parent) ** node.exponent
     if isinstance(node, Mul):
-        out = _evaluate(node.factors[0], leaf)
+        out = _evaluate(node.factors[0], context, parent)
         for f in node.factors[1:]:
-            out = out * _evaluate(f, leaf)  # factor order matters
+            out = out * _evaluate(f, context, parent)  # factor order matters
         return out
     if isinstance(node, Sum):
         out = None
         for sign, t in node.terms:
-            value = _evaluate(t, leaf)
+            value = _evaluate(t, context, parent)
             if sign < 0:
                 value = -value
             out = value if out is None else out + value
         return out
-    return leaf(node)
+    leaf = _LEAVES[context].get(node.kind)
+    if leaf is None:
+        raise ValueError(f"symbol kind {node.kind!r} has no {context} value")
+    return leaf(node, parent)
 
 
 def to_field(node, basis: PrimeBasis) -> MQElem:
-    def leaf(n):
-        if isinstance(n, Lit):
-            return basis.rational(n.value)
-        if n.kind == "radical":
-            return basis.radical(n.index)
-        raise ValueError(f"symbol kind {n.kind!r} has no field value")
-
-    return _evaluate(node, leaf)
+    return _evaluate(node, "field", basis)
 
 
 def to_group(node) -> GroupElem:
-    def leaf(n):
-        if isinstance(n, Lit):
-            raise ValueError("rational literals have no group value")
-        if n.kind == "identity":
-            return GroupElem.identity()
-        if n.kind == "xgen":
-            return GroupElem.generator(n.index)
-        raise ValueError(f"symbol kind {n.kind!r} has no group value")
-
-    return _evaluate(node, leaf)
+    return _evaluate(node, "group", None)
 
 
 def to_twisted(node, basis: PrimeBasis) -> TwistedElem:
-    from .twistring import TwistedElem
-
-    def leaf(n):
-        if isinstance(n, Lit):
-            return TwistedElem.from_scalar(basis.rational(n.value))
-        if n.kind == "radical":
-            return TwistedElem.from_scalar(basis.radical(n.index))
-        if n.kind == "identity":
-            return TwistedElem.one(basis)
-        if n.kind == "xgen":
-            return TwistedElem.from_group(basis, GroupElem.generator(n.index))
-        raise ValueError(f"symbol kind {n.kind!r} has no twisted value")
-
-    return _evaluate(node, leaf)
+    return _evaluate(node, "twisted", basis)
 
 
 def to_quantum(node, algebra: QAlgebra) -> QPoly:
-    def leaf(n):
-        if isinstance(n, Lit):
-            return algebra.scalar(algebra.field.rational(n.value))
-        if n.kind == "cyclo":
-            return algebra.scalar(algebra.field.zeta)
-        if n.kind == "xgen":
-            return algebra.generator(n.index)
-        raise ValueError(f"symbol kind {n.kind!r} has no quantum value")
-
-    return _evaluate(node, leaf)
-
+    return _evaluate(node, "quantum", algebra)

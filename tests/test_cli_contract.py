@@ -89,6 +89,50 @@ def test_inverse_of_twisted_zero_exits_2_with_one_line():
     assert proc.stderr.splitlines() == ["error: cannot invert zero"]
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("\u0663*s1", "error: 1:1: unexpected character '\u0663'"),
+        ("s\u0663", "error: 1:2: unexpected character '\u0663'"),
+        ("2\u00b2", "error: 1:2: unexpected character '\u00b2'"),
+    ],
+)
+def test_non_ascii_digits_exit_2_with_one_positioned_line(expr, message):
+    proc = _cli("eval", "--context", "field", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "context, option, value, expr",
+    [
+        ("group", "--primes", "5", "x1"),
+        ("group", "--n", "2", "x1"),
+        ("group", "--p", "3", "x1"),
+        ("field", "--n", "3", "s1"),
+        ("field", "--t", "2", "s1"),
+        ("twisted", "--p", "3", "x1"),
+        ("quantum", "--primes", "2", "x1"),
+    ],
+)
+def test_eval_rejects_an_option_its_context_does_not_read(context, option, value, expr):
+    proc = _cli("eval", "--context", context, option, value, expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: context {context!r} takes no option {option!r}"]
+
+
+@pytest.mark.parametrize(
+    "options, canonical",
+    [((), "-z*x1*x2"), (("--p", "2", "--t", "1"), "-z*x1*x2"), (("--p", "3"), "(-z^2 - z^5)*x1*x2")],
+)
+def test_eval_quantum_reads_p_and_t_with_defaults_2_and_1(options, canonical):
+    proc = _cli("eval", "--context", "quantum", *options, "x2*x1", "--format", "machine")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"] == {"canonical": canonical}
+
+
 def test_group_powers_stay_free():
     proc = _cli("eval", "--context", "group", "x1^200000000000", "--format", "machine",
                 WORKBENCH_MAX_OPS="1")
@@ -147,8 +191,8 @@ _SERIES = "".join(f"{r},{r * r + 1}\n" for r in range(1, 13))
 _REQUESTS = [
     (("growth", "estimate", "-"), {"parser", "mqfield", "cyclo"}),
     (("eval", "--context", "group", "x1^2*x2^-1"), {"cyclo", "qaffine", "mqfield"}),
-    (("gamma", "coeff", "--power", "4", "x1^-2*x2^-2"), {"cyclo", "qaffine", "mqfield"}),
-    (("gamma", "witness", "--degree", "3"), {"parser", "cyclo", "qaffine", "mqfield"}),
+    (("gamma", "coeff", "--power", "4", "x1^-2*x2^-2"), {"growth", "cyclo", "qaffine", "mqfield"}),
+    (("gamma", "witness", "--degree", "3"), {"parser", "growth", "cyclo", "qaffine", "mqfield"}),
     (("gamma", "growth", "--n", "1"), {"parser", "cyclo", "qaffine", "mqfield"}),
     (("eval", "--context", "field", "s1 + 1/2"), {"cyclo", "qaffine", "twistring"}),
     (("eval", "--context", "twisted", "x1*s1"), {"cyclo", "qaffine"}),

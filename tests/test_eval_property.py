@@ -19,13 +19,16 @@ ATOMS = {
     "quantum": ["0", "1", "2/3", "z", "x1", "x2", "x3"],
 }
 STRAY = ["g", "x0", "y1", "z", "e", "s1", "x1", "5"]
+# non-ASCII digits, letters and whitespace: the scanner reads only ASCII
+# digits and letters, and skips any whitespace
+UNICODE = ["\u0663", "s\u0663", "2\u00b2", "\u00e9", "x1\u00a0", "\u2028e", "\u00a0"]
 
 
 def _expr(context, depth):
     """Sums of products of powers, exponents in -9..9, parentheses nested at
     most `depth` deep: small enough that a missing power charge still fits
     in memory."""
-    atom = st.sampled_from(ATOMS[context] * 8 + STRAY)
+    atom = st.sampled_from(ATOMS[context] * 8 + STRAY + UNICODE)
     if depth:
         atom = st.one_of(atom, _expr(context, depth - 1).map(lambda text: f"({text})"))
     power = st.one_of(st.just(""), st.integers(-9, 9).map(lambda e: f"^{e}"))

@@ -109,6 +109,43 @@ def test_syntax_error_positions():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize(
+    "text, line, column, char",
+    [
+        ("\u0663*s1", 1, 1, "\u0663"),
+        ("s\u0663", 1, 2, "\u0663"),
+        ("2\u00b2", 1, 2, "\u00b2"),
+        ("1 +\n  s\u00e9", 2, 4, "\u00e9"),
+    ],
+)
+def test_non_ascii_digits_and_letters_are_unexpected_characters(text, line, column, char):
+    with pytest.raises(ParseError) as err:
+        parse(text, "field")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{line}:{column}: unexpected character {char!r}"
+
+
+def test_any_whitespace_separates_tokens():
+    assert parse("s1\u00a0+\u2028\t1", "field") == parse("s1 + 1", "field")
+    with pytest.raises(ParseError) as err:
+        parse("s1 +\n\u00a0 y1", "field")
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "text, source, evaluate, message",
+    [
+        ("1", "field", to_group, "symbol kind 'lit' has no group value"),
+        ("s1", "field", lambda node: to_quantum(node, ALG), "symbol kind 'radical' has no quantum value"),
+        ("z", "quantum", lambda node: to_field(node, BASIS), "symbol kind 'cyclo' has no field value"),
+        ("x1", "group", lambda node: to_field(node, BASIS), "symbol kind 'xgen' has no field value"),
+    ],
+)
+def test_tree_from_another_context_names_the_missing_kind(text, source, evaluate, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(parse(text, source))
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse("s1 s2", "field")
