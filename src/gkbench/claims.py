@@ -29,7 +29,7 @@ def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: in
             "expected": expected,
             "note": _SUBSPACE_NOTE,
         },
-        est.snapped == expected and not est.unbounded,
+        est.snapped == expected,
     )
 
 

@@ -1,15 +1,16 @@
 """Degree statistics for dimension sequences (r, dim V^r).
 
 Every sequence produced inside this package is eventually an exact integer
-polynomial in r (affine for the gamma model, binomial for the quantum affine
-spaces), so the growth degree of a uniformly spaced sample is read off
-exactly with finite differences.  The least-squares slope of log(dim)
-against log(r) over the tail half is computed alongside as the raw
-statistic, and is what the snapping falls back to when no difference
-certificate exists (non-uniform spacing, noisy data).  Growth faster than
-every fixed polynomial degree is flagged heuristically: the fitted slope
-keeps increasing across three tail windows, unless the series is just short
-of certifying the degree the slope points to: then it is inconclusive.
+polynomial in r (affine for the gamma model, binomial for the quantum
+affine spaces), and the paper's growth degrees are non-negative integers or
+infinite, so a degree is reported only when an exact certificate pins it:
+finite differences for a uniformly spaced polynomial, or the ratio
+L(r) = r * (d_r - d_{r-1}) / d_{r-1}, equal to one integer D at every step
+exactly when d_r = c * C(r + D, D).  Both are integer arithmetic.  Without
+a certificate the verdict is unbounded when L rises by at least 1/2 at
+every step of the tail half, and inconclusive otherwise.  The least-squares
+slope of log(dim) against log(r) over the tail half is reported alongside
+as the raw statistic.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-SNAP_TOLERANCE = 0.1
 MIN_POINTS = 6
-_UNBOUNDED_RISE = 0.5
 
 
 class GrowthSeries:
@@ -102,30 +101,30 @@ def _prefix(text: str, size: int = 40) -> str:
 class DegreeEstimate(NamedTuple):
     """Outcome of the degree estimator.
 
-    raw is the tail-half log-log least-squares slope; snapped is the integer
-    degree when one was established (exact=True marks a finite-difference
-    certificate, exact=False the 0.1 tolerance snap of raw); unbounded flags
-    super-polynomial growth; fit_residual is the sum of squared residuals of
-    the log-log fit; inconclusive marks a series too short to tell a
-    polynomial still climbing to its degree from super-polynomial growth.
+    raw is the tail-half log-log least-squares slope and fit_residual the
+    sum of squared residuals of that fit; snapped is the integer degree when
+    a certificate established it; unbounded flags the super-polynomial
+    signature.  A series with neither is inconclusive.
     """
 
     raw: float
     snapped: Optional[int]
     unbounded: bool
     fit_residual: float
-    exact: bool
-    inconclusive: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.snapped is not None
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.snapped is None and not self.unbounded
 
     @property
     def label(self) -> str:
-        if self.inconclusive:
-            return "inconclusive"
         if self.unbounded:
             return "unbounded"
-        if self.snapped is None:
-            return f"{self.raw:.3f} (nonintegral)"
-        return str(self.snapped)
+        return "inconclusive" if self.snapped is None else str(self.snapped)
 
 
 class LinearFit(NamedTuple):
@@ -167,64 +166,52 @@ def _difference_degree(points) -> Optional[int]:
     return None
 
 
-def _windows_increasing(points) -> bool:
-    """Heuristic flag for super-polynomial growth: the log-log slope strictly
-    increases, by more than a fixed rise, across three consecutive windows."""
-    third = len(points) // 3
-    if third < 2:
-        return False
-    tail = points[len(points) - 3 * third:]
-    slopes = []
-    for w in range(3):
-        window = tail[w * third:(w + 1) * third]
-        slopes.append(_loglog_fit(window)[0])
-    return (
-        slopes[0] < slopes[1] < slopes[2]
-        and slopes[2] - slopes[0] > _UNBOUNDED_RISE
-    )
+def _ratios(points) -> list[tuple[int, int]]:
+    """L(r) = r * (d_r - d_{r-1}) / d_{r-1} as (numerator, denominator) at
+    each step of a series at consecutive r; [] for any other spacing.  Since
+    C(r + D, D) / C(r - 1 + D, D) = (r + D) / r, L(r) = D at every step
+    exactly when d_r = c * C(r + D, D)."""
+    if any(r1 != r0 + 1 for (r0, _), (r1, _) in zip(points, points[1:])):
+        return []
+    return [(r * (d1 - d0), d0) for (_, d0), (r, d1) in zip(points, points[1:])]
 
 
-def check_fit_window(r_min: int, r_max: int, scope: str = "", degree: int = 1) -> None:
-    """Raise ValueError unless r = r_min..r_max gives the fit max(MIN_POINTS,
-    degree + 3) points, enough for three equal degree-th differences; `scope`
-    names what fixed the window, e.g. " for n = 2"."""
-    points = max(MIN_POINTS, degree + 3)
-    least = r_min + points - 1
+def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
+    """Raise ValueError unless r = r_min..r_max gives the fit MIN_POINTS
+    points; `scope` names what fixed the window, e.g. " for n = 2"."""
+    least = r_min + MIN_POINTS - 1
     if r_max < least:
         raise ValueError(
             f"rmax must be at least {least}{scope}: "
-            f"the fit needs {points} points from r = {r_min}"
+            f"the fit needs {MIN_POINTS} points from r = {r_min}"
         )
 
 
 def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     """Estimate the polynomial degree of r -> dim.
 
-    A finite-difference certificate (uniform spacing, differences eventually
-    constant) pins the integer degree exactly; otherwise the raw log-log
-    slope is snapped to the nearest integer within 0.1, the three-window
-    heuristic flags unbounded growth (or an inconclusive series), and
-    anything else is reported raw.
+    Two exact certificates pin an integer degree: finite differences
+    (uniform spacing, differences eventually constant), then the binomial
+    ratio L (consecutive r, L equal to one integer D throughout).  Without
+    one, the verdict is unbounded or inconclusive.
     """
     pts = series.points
     if len(pts) < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    tail = pts[len(pts) // 2:]
-    raw, residual = _loglog_fit(tail)
+    half = len(pts) // 2
+    raw, residual = _loglog_fit(pts[half:])
     certified = _difference_degree(pts)
+    ratios = [] if certified is not None else _ratios(pts)
+    degree = ratios[0][0] // ratios[0][1] if ratios else None
+    if ratios and all(n == degree * d for n, d in ratios):
+        certified = degree
     if certified is not None:
-        return DegreeEstimate(raw, certified, False, residual, True)
-    if _windows_increasing(pts):
-        # a polynomial's slope climbs to its degree from below, about one
-        # behind at small r: a series one or two points short of certifying
-        # degree floor(raw) + 2 may be only climbing
-        reach = len(pts) - 3  # the highest degree three equal differences certify
-        short = reach < math.floor(raw) + 2 <= reach + 2
-        return DegreeEstimate(raw, None, not short, residual, False, short)
-    nearest = round(raw)
-    if nearest >= 0 and abs(raw - nearest) <= SNAP_TOLERANCE:
-        return DegreeEstimate(raw, int(nearest), False, residual, False)
-    return DegreeEstimate(raw, None, False, residual, False)
+        return DegreeEstimate(raw, certified, False, residual)
+    # unbounded: L rises by at least 1/2 at every step of the tail half (for
+    # c**r, L(r) = (c - 1) * r; a polynomial's L tends to its degree)
+    tail = ratios[half:]
+    rises = (2 * (n1 * d0 - n0 * d1) >= d0 * d1 for (n0, d0), (n1, d1) in zip(tail, tail[1:]))
+    return DegreeEstimate(raw, None, bool(tail) and all(rises), residual)
 
 
 def slope_extract(series: GrowthSeries) -> Optional[LinearFit]:

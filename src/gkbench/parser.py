@@ -27,6 +27,7 @@ form, so `quantum nf` needs no word rewriting.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -171,6 +172,15 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, *_position(self.text, tok.offset))
 
+    def integer(self, tok: _Token) -> int:
+        """An INT token's value; one past the interpreter's int-string limit
+        is a ParseError at the token."""
+        try:
+            return int(tok.value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self.error(f"integer of {len(tok.value)} digits: more than {limit}, the interpreter's limit", tok)
+
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -220,7 +230,7 @@ class _Parser:
             sign = -1 if tok.kind == "-" else 1
             self.advance()
         tok = self.expect("INT")
-        exponent = sign * int(tok.value)
+        exponent = sign * self.integer(tok)
         on_generator = isinstance(atom, Sym) and atom.kind == "xgen"
         if exponent < 0 and on_generator and self.context == "quantum":
             self.error("negative exponents are not allowed on quantum generators", tok)
@@ -240,13 +250,14 @@ class _Parser:
             return inner
         if tok.kind == "INT":
             self.advance()
-            value = Fraction(int(tok.value))
+            value = Fraction(self.integer(tok))
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("INT")
-                if int(den.value) == 0:
+                denominator = self.integer(den)
+                if denominator == 0:
                     self.error("zero denominator", den)
-                value = value / int(den.value)
+                value = value / denominator
             if "lit" not in _LEAVES[self.context]:
                 self.error(f"rational literals are not {self.context} elements", tok)
             return Lit(value)

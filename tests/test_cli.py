@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -112,35 +113,39 @@ def test_short_quantum_rmax_names_the_fit_window(capsys, command, rmax):
     assert (code, out, err) == (2, "", message)
 
 
-# A degree-n certificate needs n + 3 points, so the window grows past 6 at
-# n = 4: theorem6.1 runs n = 1..4.
-@pytest.mark.parametrize(
-    "command, n, least",
-    [
-        (("quantum", "growth", "--n", "4"), 4, 7),
-        (("verify", "theorem6.1"), 4, 7),
-        (("quantum", "growth", "--n", "5"), 5, 8),
-    ],
-)
-def test_short_quantum_rmax_names_the_degree(capsys, command, n, least):
-    code, out, err = run(capsys, *command, "--rmax", str(least - 1))
-    message = f"error: rmax must be at least {least} for n = {n}: the fit needs {least} points from r = 1\n"
-    assert (code, out, err) == (2, "", message)
-
-
+# dim V^r = C(n + r, n) is binomial, so 6 points certify every n, 4 and 5
+# included: theorem6.1 runs n = 1..4.
 @pytest.mark.parametrize(
     "command",
     [
         ("quantum", "growth", "--n", "2", "--rmax", "6"),
         ("verify", "lemma5.1", "--rmax", "6"),
-        ("verify", "theorem6.1", "--rmax", "7"),
-        ("quantum", "growth", "--n", "4", "--rmax", "7"),
+        ("verify", "theorem6.1", "--rmax", "6"),
+        ("quantum", "growth", "--n", "4", "--rmax", "6"),
+        ("quantum", "growth", "--n", "5", "--rmax", "6"),
     ],
 )
 def test_shortest_quantum_rmax_is_accepted(capsys, command):
     # exit 0: every degree claim read its n, 4 at the longest chain
     code, _, err = run(capsys, *command)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "fn, hi, degree",
+    [
+        (lambda r: comb(r + 6, 6), 8, "6"),  # two points short of differences
+        (lambda r: comb(r + 11, 11), 13, "11"),
+        (lambda r: r**r, 12, "unbounded"),
+        (lambda r: 2**r, 14, "unbounded"),
+    ],
+    ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r"],
+)
+def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, fn, hi, degree):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{fn(r)}\n" for r in range(1, hi + 1))))
+    code, out, err = run(capsys, "growth", "estimate", "-", "--format", "machine")
+    assert (code, err) == (0, "")
+    assert machine_lines(out)[0]["outputs"]["degree"] == degree
 
 
 @pytest.mark.parametrize(
@@ -290,6 +295,15 @@ def test_eval_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "eval", "--context", "quantum", "g")
     assert code == 2
     assert "1:1" in err
+
+
+@pytest.mark.parametrize("expr, column", [("1 + {}", 5), ("s1^{}", 4), ("1/{}", 3)])
+def test_integer_past_the_digit_limit_is_a_positioned_parse_error(capsys, expr, column):
+    digits = "9" * 5000
+    code, out, err = run(capsys, "eval", "--context", "field", expr.format(digits))
+    limit = sys.get_int_max_str_digits()  # 4300 unless the environment sets it
+    message = f"error: 1:{column}: integer of 5000 digits: more than {limit}, the interpreter's limit\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

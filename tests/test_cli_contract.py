@@ -236,9 +236,9 @@ def test_growth_series_past_the_digit_limit_names_it(tmp_path):
 
 
 def test_short_exact_series_reads_inconclusive(tmp_path):
-    # C(r+4, 4) over r = 1..6: one point short of certifying degree 4
+    # C(r+6, 6) + r over r = 1..8: too short for differences, not binomial
     path = tmp_path / "series.txt"
-    path.write_text("".join(f"{r},{comb(r + 4, 4)}\n" for r in range(1, 7)), encoding="utf-8")
+    path.write_text("".join(f"{r},{comb(r + 6, 6) + r}\n" for r in range(1, 9)), encoding="utf-8")
     proc = _cli("growth", "estimate", str(path), "--format", "machine")
     assert proc.returncode == 1
     degree = json.loads(proc.stdout.splitlines()[0])

@@ -5,9 +5,12 @@ import sys
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkbench.gammalab import rn_dim_series
 from gkbench.growth import (
+    MIN_POINTS,
     GrowthSeries,
     degree_estimate,
     slope_extract,
@@ -80,13 +83,13 @@ def test_degree_polynomials_up_to_five():
         assert est.snapped == d, (d, est)
 
 
-def test_degree_tolerance_snap_without_certificate():
-    # non-uniform spacing blocks the difference certificate; the log-log
-    # slope of an exact power is still the degree
+def test_nonuniform_series_without_certificate_is_inconclusive():
+    # non-uniform spacing blocks both certificates; a log-log slope of
+    # exactly 3 is not one
     pts = [(r, r**3) for r in (4, 6, 8, 12, 16, 24, 32)]
     est = degree_estimate(GrowthSeries(pts))
-    assert not est.exact
-    assert est.snapped == 3
+    assert round(est.raw, 9) == 3
+    assert est.inconclusive and not est.exact and est.snapped is None
 
 
 def test_degree_unbounded_on_superpolynomial():
@@ -98,15 +101,28 @@ def test_degree_unbounded_on_superpolynomial():
 
 
 def test_short_exact_series_is_inconclusive():
-    # C(r+4, 4) needs 7 points for three equal fourth differences; over 6
-    # its slope is still climbing to 4, which the windows cannot tell from
-    # super-polynomial growth
-    est = degree_estimate(series(lambda r: comb(r + 4, 4), 1, 6))
+    # C(r+6, 6) + r needs 9 points for three equal sixth differences, and
+    # is not c * C(r+D, D), so over 8 neither certificate holds
+    est = degree_estimate(series(lambda r: comb(r + 6, 6) + r, 1, 8))
     assert est.inconclusive and not est.unbounded and est.snapped is None
     assert est.label == "inconclusive"
-    assert degree_estimate(series(lambda r: comb(r + 4, 4), 1, 7)).snapped == 4
+    assert degree_estimate(series(lambda r: comb(r + 6, 6) + r, 1, 9)).snapped == 6
+    # the binomial ratio certifies C(r+4, 4) one point short of differences
+    est = degree_estimate(series(lambda r: comb(r + 4, 4), 1, 6))
+    assert est.snapped == 4 and est.exact and est.label == "4"
     for fn, hi in ((lambda r: r**r, 12), (lambda r: 2**r, 14)):
         assert not degree_estimate(series(fn, 1, hi)).inconclusive
+
+
+@given(
+    degree=st.integers(0, 12),
+    scale=st.integers(1, 50),
+    start=st.integers(1, 20),
+    length=st.integers(MIN_POINTS, 16),
+)
+def test_scaled_binomial_reads_its_degree(degree, scale, start, length):
+    est = degree_estimate(series(lambda r: scale * comb(r + degree, degree), start, start + length - 1))
+    assert est.snapped == degree and est.exact and not est.unbounded
 
 
 def test_label_rendering():
