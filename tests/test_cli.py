@@ -131,6 +131,24 @@ def test_shortest_quantum_rmax_is_accepted(capsys, command):
     assert (code, err) == (0, "")
 
 
+# One point short of the n + 3 a difference certificate needs, the binomial
+# ratio still names degree n: theorem6.1 reads n = 4 at the end of its chain.
+@pytest.mark.parametrize(
+    "command, n, difference_window",
+    [
+        (("quantum", "growth", "--n", "4"), 4, 7),
+        (("verify", "theorem6.1"), 4, 7),
+        (("quantum", "growth", "--n", "5"), 5, 8),
+    ],
+)
+def test_short_quantum_rmax_names_the_degree(capsys, command, n, difference_window):
+    rmax = str(difference_window - 1)
+    code, out, err = run(capsys, *command, "--rmax", rmax, "--format", "machine")
+    assert (code, err) == (0, "")
+    degrees = [r for r in machine_lines(out) if r["claim_id"].split(".")[-1] in ("degree", f"n{n:02d}")]
+    assert [(r["inputs"]["n"], r["outputs"]["degree"], r["verdict"]) for r in degrees] == [(n, str(n), "pass")]
+
+
 @pytest.mark.parametrize(
     "fn, hi, degree",
     [
