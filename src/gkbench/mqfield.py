@@ -9,10 +9,15 @@ int} over one positive denominator `den`, in lowest terms: gcd(den, *nums)
 compare it directly.  `coeffs` gives the same element as {frozenset of
 indices: Fraction}.
 
-Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)), so a product
-adds x * y * pp[s & t] into out[s ^ t] for every pair of terms, multiplies
-the denominators, and brings the result to lowest terms with one gcd pass.
-`PrimeBasis.pp` memoises the prime products p_S as their masks turn up.
+Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)), so a sparse
+product adds x * y * pp[s & t] into out[s ^ t] for every pair of terms
+(`PrimeBasis.pp` memoises p_S).  A dense one applies, per radical p,
+(u + v*sqrt(p))(w + z*sqrt(p)) = (uw + p*vz) + ((u+v)(w+z) - uw - vz)*sqrt(p):
+over radicals 1..k, 2^k numerators expand to 3^k values, (u, v, u+v) along
+each radical, and the 3^k pointwise products fold back by (m1, m2, m3) ->
+(m1 + p*m2, m3 - m1 - m2).  It runs from 162 term pairs on when 2*pairs >=
+3 * 3^k, k the highest radical present, so 3^k < pairs bounds its lists.
+The denominators multiply, and one gcd pass brings the result to lowest terms.
 
 Inverses.  Split off the highest radical: a = u + v*sqrt(p_k) with u, v over
 the lower indices; then a^-1 = (u - v*sqrt(p_k)) * (u^2 - v^2*p_k)^-1, and
@@ -35,8 +40,9 @@ operations pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter, mul
 
 from .ringops import TermSum, charged_power, render_terms, words
 
@@ -70,6 +76,27 @@ def first_primes(count: int) -> tuple[int, ...]:
 def _indices(mask: int) -> list[int]:
     """The radical indices whose bits are set in mask, ascending."""
     return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
+
+
+def _expand(terms: dict, k: int) -> list:
+    """The 3^k values of the numerators over radicals 1..k, radical 1 at stride 1."""
+    vec = list(map(terms.get, range(1 << k), repeat(0)))
+    for _ in range(k):
+        # the stride-1 axis (u, v) becomes (u, v, u+v) on top
+        u, v = vec[0::2], vec[1::2]
+        vec = u + v + list(map(add, u, v))
+    return vec
+
+
+def _three_products(a: dict, b: dict, k: int, primes) -> dict:
+    """{mask: numerator} of a*b over radicals 1..k by the three-product rule
+    (module docstring)."""
+    vec = list(map(mul, _expand(a, k), _expand(b, k)))
+    for p in primes[:k]:
+        # the stride-1 axis (m1, m2, m3) becomes (m1 + p*m2, m3 - m1 - m2) on top
+        m1, m2, m3 = vec[0::3], vec[1::3], vec[2::3]
+        vec = [x + p * y for x, y in zip(m1, m2)] + [z - x - y for x, y, z in zip(m1, m2, m3)]
+    return dict(enumerate(vec))
 
 
 class _PrimeProducts(dict):
@@ -177,7 +204,8 @@ class MQElem(TermSum):
                         f"radical index {i} outside basis range 1..{n}"
                     )
                 mask |= 1 << (i - 1)
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if value:
                 clean[mask] = value
         den = lcm(*(v.denominator for v in clean.values()))
@@ -238,14 +266,20 @@ class MQElem(TermSum):
         if not isinstance(other, MQElem):
             return NotImplemented
         self._check(other)
+        a, b, den = self.terms, other.terms, self.den * other.den
+        pairs = len(a) * len(b)
+        if pairs >= 162:  # the measured crossover (module docstring)
+            top = max(max(a), max(b)).bit_length()
+            if 2 * pairs >= 3 * 3**top:
+                return MQElem._make(self.parent, _three_products(a, b, top, self.parent.primes), den)
         pp = self.parent.pp
         out = {}
         get = out.get
-        for s, x in self.terms.items():
-            for t, y in other.terms.items():
+        for s, x in a.items():
+            for t, y in b.items():
                 k = s ^ t
                 out[k] = get(k, 0) + x * y * pp[s & t]
-        return MQElem._make(self.parent, out, self.den * other.den)
+        return MQElem._make(self.parent, out, den)
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, self.parent.one())
@@ -283,7 +317,7 @@ class MQElem(TermSum):
         bit = 1 << (top - 1)
         u = MQElem._make(basis, {s: c for s, c in self.terms.items() if not s & bit}, den)
         v = MQElem._make(basis, {s ^ bit: c for s, c in self.terms.items() if s & bit}, den)
-        norm = u * u - v * v * basis.rational(basis.primes[top - 1])
+        norm = u * u - v * v * MQElem._make(basis, {0: basis.primes[top - 1]})
         if not norm:
             # impossible for a nonzero element of a field; guarded anyway
             raise ArithmeticError("conjugate norm vanished for a nonzero element")

@@ -130,9 +130,10 @@ class TwistedElem(TermSum):
             raise ValueError(
                 f"basis has {len(basis)} primes, fewer than the bound m={m}"
             )
+        e, one, make = GroupElem.identity(), basis.one(), TwistedElem._make
         for i in range(1, m + 1):
-            radical = TwistedElem.from_scalar(basis.radical(i))
-            gen = TwistedElem.from_group(basis, GroupElem.generator(i))
+            radical = make(basis, {e: basis.radical(i)})
+            gen = make(basis, {GroupElem.generator(i): one})
             if self.commutator(radical) or self.commutator(gen):
                 return False
         return True

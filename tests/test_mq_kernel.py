@@ -1,14 +1,18 @@
 """The integer bitmask kernel of `MQElem` against the Fraction oracle in
-mqoracle.py: products, inverses, sums, sign flips, the `coeffs` view, word
-sizes, and bases too large for any table of 2^n entries."""
+mqoracle.py: products by both routes (the term-pair loop and the
+three-product transform) on either side of their crossover, inverses, sums,
+sign flips, the `coeffs` view, word sizes, and bases too large for any table
+of 2^n entries."""
 
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gkbench import mqfield
 from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
 from gkbench.ringops import words
@@ -106,3 +110,124 @@ def test_sixty_four_primes():
     top = basis.radical(64) + basis.radical(1) * basis.radical(63)
     assert top * top.inv() == basis.one()
     assert str(top) == "s1*s63 + s64"
+
+
+# --- the dense route ------------------------------------------------------------
+
+WIDE = {n: PrimeBasis.first(n) for n in range(1, 9)}
+DENOMINATORS = st.one_of(st.sampled_from((1, 2, 3, 6, 35, 2**64)), st.integers(1, 2**40))
+
+
+def subset(mask):
+    return frozenset(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
+def from_masks(basis, values):
+    """An MQElem from {mask: Fraction}."""
+    return MQElem(basis, {subset(m): v for m, v in values.items()})
+
+
+def product_routes(a, b):
+    """a * b, and whether the three-product transform computed it."""
+    with mock.patch.object(mqfield, "_three_products", wraps=mqfield._three_products) as dense:
+        product = a * b
+    return product, dense.called
+
+
+def assert_product_matches_the_oracle(a, b):
+    product, dense = product_routes(a, b)
+    assert product.coeffs == mq_mul(a.parent.primes, a.coeffs, b.coeffs)
+    assert product.den > 0 and all(type(c) is int and c for c in product.terms.values())
+    assert gcd(product.den, *product.terms.values()) == 1
+    return product, dense
+
+
+@st.composite
+def crossover_case(draw):
+    """Two elements over a basis of up to 8 primes, the first dense over k <= 6
+    consecutive radicals (shifted up by `low`, so the highest radical present
+    lies on either side of the crossover), with numerators up to 2**3, 2**40
+    or 2**130 over varied denominators; the second is dense over the same radicals, dense
+    over a proper subfield, the first's conjugate in its top radical (which
+    cancels that radical's odd half of the product to zero), one term, or a
+    random tenth, half or nine tenths of the first's support."""
+    n = draw(st.sampled_from((8, 7, 6, 5, 4, 3, 2, 1)))
+    k = min(n, draw(st.sampled_from((6, 5, 4, 6, 5, 4, 3, 2, 1))))
+    low = draw(st.sampled_from((0, 0, n - k)))
+    basis = WIDE[n]
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    bound = 2 ** draw(st.sampled_from((3, 40, 130)))
+    # 64 numerators of 130 bits would overrun Hypothesis's example buffer
+    rng = draw(st.randoms(use_true_random=False))
+
+    def element(width, support=None):
+        masks = range(1 << width) if support is None else support
+        values = {m << low: Fraction(rng.randint(-bound, bound) or 1, rng.choice(dens)) for m in masks}
+        return from_masks(basis, values)
+
+    a = element(k)
+    shape = draw(st.sampled_from(("dense", "subfield", "conjugate", "single", "part")))
+    if shape == "dense":
+        b = element(k)
+    elif shape == "subfield":
+        b = element(draw(st.integers(0, k - 1)))
+    elif shape == "conjugate":
+        b = a.apply_f(low + k)
+    elif shape == "single":
+        b = element(k, [draw(st.integers(0, (1 << k) - 1))])
+    else:
+        density = draw(st.sampled_from((0.1, 0.5, 0.9)))
+        b = element(k, [m for m in range(1 << k) if rng.random() < density] or [0])
+    return a, b, shape
+
+
+@given(crossover_case())
+def test_both_product_routes_agree_with_the_oracle(case):
+    a, b, shape = case
+    product, _ = assert_product_matches_the_oracle(a, b)
+    assert assert_product_matches_the_oracle(b, a)[0] == product
+    if shape == "conjugate":
+        top = 1 << (max(a.terms).bit_length() - 1)
+        assert not any(m & top for m in product.terms)
+
+
+def dense_over(basis, k, count, rng):
+    """An element with `count` terms on distinct masks of radicals 1..k."""
+    masks = rng.sample(range(1 << k), count)
+    return from_masks(basis, {m: Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.randint(1, 9)) for m in masks})
+
+
+def test_the_crossover_sits_where_the_rule_says():
+    """162 term pairs at least, and 2 * pairs >= 3 * 3^k for the highest
+    radical k present: just below it the term-pair loop runs, at or above it
+    the transform."""
+    rng = random.Random(17)
+    basis = WIDE[6]
+    cases = (
+        (4, 10, 16, False),  # 160 pairs: under the 162 floor
+        (4, 11, 15, True),  # 165 pairs, 2 * 165 >= 243
+        (5, 14, 26, False),  # 364 pairs, 2 * 364 < 729
+        (5, 16, 23, True),  # 368 pairs, 2 * 368 >= 729
+        (6, 32, 34, False),  # 1088 pairs, 2 * 1088 < 2187
+        (6, 32, 35, True),  # 1120 pairs
+    )
+    for k, left, right, transform in cases:
+        a, b = dense_over(basis, k, left, rng), dense_over(basis, k, right, rng)
+        assert max(a.terms | b.terms).bit_length() == k
+        _, dense = assert_product_matches_the_oracle(a, b)
+        assert dense is transform, (k, left, right)
+
+
+def test_a_sparse_product_over_sixty_four_primes_stays_on_the_term_pairs():
+    """Masks up to bit 63: the transform would need 3^64 slots, so a 3-term
+    and a 13-term square (169 pairs, past the pair floor) both stay on the
+    term-pair loop and finish at once."""
+    basis = PrimeBasis.first(64)
+    a = from_masks(basis, {1 << 63: Fraction(3, 2), 1 | 1 << 40: Fraction(-1, 7), 1 << 62 | 1 << 5: 5})
+    b = from_masks(basis, {1 << 63 | 1 << 62: 2, 1 << 10: Fraction(1, 3), 0: -4})
+    _, dense = assert_product_matches_the_oracle(a, b)
+    assert not dense
+    rng = random.Random(64)
+    c = from_masks(basis, {rng.getrandbits(64): Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(13)})
+    _, dense = assert_product_matches_the_oracle(c, c)
+    assert not dense and len(c.terms) == 13

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from gkbench.mqfield import PrimeBasis
+from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
-from gkbench.sampling import random_central_twisted, random_twisted
+from gkbench.sampling import random_central_twisted, random_fraction, random_subset, random_twisted
 from gkbench.twistring import TwistedElem
 
 BASIS = PrimeBasis.first(4)
@@ -88,10 +88,10 @@ def test_center_by_commutation_examples():
 
 def test_commutation_bound_validation():
     elem = TwistedElem(BASIS, {GroupElem.generator(3): BASIS.one()})
-    with pytest.raises(ValueError):
-        elem.is_central_by_commutation(2)  # m below the largest index
-    with pytest.raises(ValueError):
-        TwistedElem.one(BASIS).is_central_by_commutation(5)  # basis too small
+    with pytest.raises(ValueError, match="^generator bound m=2 is smaller than the largest index 3$"):
+        elem.is_central_by_commutation(2)
+    with pytest.raises(ValueError, match="^basis has 4 primes, fewer than the bound m=5$"):
+        TwistedElem.one(BASIS).is_central_by_commutation(5)
 
 
 def test_center_tests_agree_on_randoms():
@@ -102,6 +102,26 @@ def test_center_tests_agree_on_randoms():
         else:
             elem = random_twisted(rng, BASIS, max_terms=4)
         assert elem.is_central_by_form() == elem.is_central_by_commutation(4)
+
+
+def test_samplers_build_what_the_validating_constructors_build():
+    """random_twisted (through random_group and random_mq) builds with the
+    trusted constructors; replaying its draws through the public ones gives
+    equal values, equal odd-exponent masks and the same rng state."""
+    for seed in range(300):
+        rng, replay = random.Random(seed), random.Random(seed)
+        sampled = random_twisted(rng, BASIS, max_terms=4)
+        terms = {}
+        for _ in range(replay.randint(0, 4)):
+            support = replay.sample(range(1, 5), replay.randint(0, 3))
+            g = GroupElem({i: replay.choice([-3, -2, -1, 1, 2, 3]) for i in support})
+            coeffs = {}
+            for _ in range(replay.randint(0, 2)):
+                coeffs[random_subset(replay, 4)] = random_fraction(replay)
+            terms[g] = MQElem(BASIS, coeffs)
+        expected = TwistedElem(BASIS, terms)
+        assert sampled == expected and rng.getstate() == replay.getstate()
+        assert {g: g._odd for g in sampled.terms} == {g: g._odd for g in expected.terms}
 
 
 def test_associativity_and_distributivity():
