@@ -7,8 +7,10 @@ coefficients and the twisted convolution
 A product is one integer accumulation: with each side's numerators over its
 common denominator, every term pair adds c * d * pp[s & t] into the
 {mask: int} numerators of xy, for the terms c*sqrt(p_s) of a_x and
-d*sqrt(p_t) of twist_x(b_y); each xy becomes one MQElem at the end.  A
-commutator runs its second order into the same sums with sign -1.
+d*sqrt(p_t) of twist_x(b_y); each xy that does not cancel becomes one MQElem
+at the end.  twist_x is skipped when x has no odd exponent, as it then
+changes nothing.  The group is abelian (exponents add), so a commutator makes
+the same one pass, subtracting b_y * twist_y(a_x) at yx = xy.
 
 Only finite supports are represented here; everything the package verifies
 about the construction reduces to finite data.  Centrality can be decided
@@ -44,6 +46,8 @@ class TwistedElem(TermSum):
             if not isinstance(g, GroupElem):
                 raise TypeError("support elements must be GroupElems")
             g.check_within(len(basis))
+            if not isinstance(coeff, MQElem):
+                raise TypeError("coefficients must be MQElems")
             if coeff.parent != basis:
                 raise ValueError("prime basis mismatch")
             if coeff:
@@ -102,6 +106,8 @@ class TwistedElem(TermSum):
         return TwistedElem._make(self.parent, {ginv: ginv.twist(coeff.inv())})
 
     def commutator(self, other: "TwistedElem") -> "TwistedElem":
+        if not isinstance(other, TwistedElem):
+            raise TypeError("commutator needs a TwistedElem")
         return _convolve(self, other, commute=True)
 
     # --- the two centrality tests -------------------------------------------------
@@ -176,18 +182,24 @@ def _convolve(a: TwistedElem, b: TwistedElem, commute: bool = False) -> TwistedE
     make, pp = MQElem._make, parent.pp
     (da, sa), (db, sb) = _common(a.terms), _common(b.terms)
     out = {}
-    for left, right, sign in ((sa, sb, 1), (sb, sa, -1))[: 1 + commute]:
-        for x, c in left.items():
-            cs = c.terms.items() if sign == 1 else [(s, -u) for s, u in c.terms.items()]
-            for y, d in right.items():
-                z = x * y
-                acc = out.get(z)
-                if acc is None:
-                    acc = out[z] = {}
-                get = acc.get
-                for t, v in x.twist(d).terms.items():
-                    for s, u in cs:
+    for x, c in sa.items():
+        cs = c.terms.items()
+        for y, d in sb.items():
+            z = x * y
+            acc = out.get(z)
+            if acc is None:
+                acc = out[z] = {}
+            get = acc.get
+            for t, v in (x.twist(d) if x._odd else d).terms.items():
+                for s, u in cs:
+                    k = s ^ t
+                    acc[k] = get(k, 0) + u * v * pp[s & t]
+            if commute:
+                for t, v in (y.twist(c) if y._odd else c).terms.items():
+                    for s, u in d.terms.items():
                         k = s ^ t
-                        acc[k] = get(k, 0) + u * v * pp[s & t]
+                        acc[k] = get(k, 0) - u * v * pp[s & t]
     den = da * db
-    return TwistedElem._make(parent, {z: make(parent, acc, den) for z, acc in out.items()})
+    return TwistedElem._make(
+        parent, {z: make(parent, acc, den) for z, acc in out.items() if any(acc.values())}
+    )

@@ -3,8 +3,13 @@ against the per-term-pair oracle in tworacle.py: bases of 1 to 6 primes, odd
 and even exponents, coprime and repeated denominators up to 2**40, term
 pairs that cancel inside one output group element, commutators that cancel
 to zero, zero, one and single-term operands, the budget charges, and
-results in lowest terms."""
+results in lowest terms.  The one-pass commutator gets its own cases:
+supports mixing square and odd group elements on both sides (only odd ones
+twist), a bracket that cancels at one output group element and not at
+another, and central elements against every probe of the commutation
+sweep."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 from gkbench import budget
 from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
+from gkbench.sampling import random_central_twisted
 from gkbench.twistring import TwistedElem
 from tworacle import tw_commutator, tw_mul
 
@@ -123,3 +129,80 @@ def test_cancelling_pairs_leave_no_term_at_their_group_element():
     product = a * b
     assert x * y not in product.terms and len(product.terms) == 2
     assert product == tw_mul(a, b)
+
+
+def assert_commutator(a, b):
+    """a.commutator(b) against the oracle: value, the 2*pairs charge, lowest terms."""
+    bracket, ops = charged(TwistedElem.commutator, a, b)
+    assert (bracket, ops) == (tw_commutator(a, b), 2 * len(a.terms) * len(b.terms))
+    assert_canonical(bracket)
+    return bracket
+
+
+@st.composite
+def mixed_operands(draw, basis, dens):
+    """A sum with at least one square and one odd group element in its
+    support, so that both orders of a commutator meet twisting and
+    non-twisting elements on each side."""
+    n = len(basis)
+    odd = draw(group_elements(n).filter(lambda g: g._odd))
+    square = GroupElem({i: 2 * e for i, e in draw(group_elements(n)).exps.items()})
+    keys = {odd, square, *draw(st.lists(group_elements(n), max_size=2))}
+    return TwistedElem(basis, {g: draw(coefficients(basis, dens)) for g in keys})
+
+
+@st.composite
+def mixed_cases(draw):
+    basis = BASES[draw(st.integers(1, 6))]
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    return draw(mixed_operands(basis, dens)), draw(mixed_operands(basis, dens))
+
+
+@given(mixed_cases())
+def test_commutators_of_supports_mixing_square_and_odd_elements(case):
+    a, b = case
+    assert_commutator(a, b)
+    assert_commutator(b, a)
+
+
+def test_a_commutator_can_cancel_at_one_group_element_and_not_another():
+    basis = BASES[3]
+    r1, r2 = basis.radical(1), basis.radical(2)
+    # within one pair: x1^2 is a square and sqrt(p1) is fixed by x2, so the
+    # two orders of (x1^2, x2) cancel; (x1, x2) twists sqrt(p2) and does not
+    a = TwistedElem(basis, {GroupElem({1: 2}): r1, GroupElem({1: 1}): r2})
+    b = TwistedElem(basis, {GroupElem({2: 1}): basis.rational(Fraction(3, 4))})
+    bracket = assert_commutator(a, b)
+    assert bracket.terms == {GroupElem({1: 1, 2: 1}): basis.rational(Fraction(3, 2)) * r2}
+    # across pairs: w = x*g and v = y/g with g a square twist as x and y do,
+    # so (w, v) lands on xy with the bracket of (x, y) negated
+    x, y, g = GroupElem({1: 1}), GroupElem({2: -1, 3: 1}), GroupElem({3: 2})
+    c = basis.one() + r1 + basis.radical(3)
+    d = basis.element({(1, 2): Fraction(5, 3), (3,): -1})
+    a = TwistedElem(basis, {x: c, x * g: -c})
+    b = TwistedElem(basis, {y: d, g.inv() * y: d})
+    bracket = assert_commutator(a, b)
+    assert x * y not in bracket.terms and TwistedElem(basis, {x: c}).commutator(TwistedElem(basis, {y: d}))
+    assert set(bracket.terms) == {x * g.inv() * y, x * g * y}
+
+
+def test_central_elements_commute_with_every_sweep_probe(monkeypatch):
+    """Each probe the commutation sweep uses, sqrt(p_i) at e and x_i, gives
+    TwistedElem.zero; over one common denominator no MQElem is built."""
+    rng = random.Random(18)
+    built = []
+    make = MQElem._make.__func__
+    monkeypatch.setattr(MQElem, "_make", classmethod(lambda cls, *args: built.append(args) or make(cls, *args)))
+    for n, basis in BASES.items():
+        e, one = GroupElem.identity(), basis.one()
+        probes = [TwistedElem(basis, {e: basis.radical(i)}) for i in range(1, n + 1)]
+        probes += [TwistedElem(basis, {GroupElem.generator(i): one}) for i in range(1, n + 1)]
+        for _ in range(20):
+            central = random_central_twisted(rng, basis, max_terms=4, max_index=n)
+            common = len({c.den for c in central.terms.values()}) <= 1
+            for probe in probes:
+                for left, right in ((central, probe), (probe, central)):
+                    built.clear()
+                    left.commutator(right)
+                    assert not (common and built)
+                    assert assert_commutator(left, right) == TwistedElem.zero(basis)

@@ -1,8 +1,11 @@
 """Twisted group ring: convolution with twist, commutators, centrality tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
@@ -102,6 +105,49 @@ def test_center_tests_agree_on_randoms():
         else:
             elem = random_twisted(rng, BASIS, max_terms=4)
         assert elem.is_central_by_form() == elem.is_central_by_commutation(4)
+
+
+@st.composite
+def central_or_broken(draw):
+    """(element, central): a support of squares with rational coefficients
+    over 1 to 6 primes, central by construction, or the same with one term
+    broken by an odd exponent on its group element or a radical added to
+    its coefficient."""
+    n = draw(st.integers(1, 6))
+    basis = PrimeBasis.first(n)
+    squares = st.dictionaries(st.integers(1, n), st.integers(-2, 2), max_size=3).map(
+        lambda exps: GroupElem({i: 2 * e for i, e in exps.items()}))
+    rationals = st.fractions(max_denominator=2**20).filter(bool).map(basis.rational)
+    terms = draw(st.dictionaries(squares, rationals, max_size=4))
+    if not terms or draw(st.booleans()):
+        return TwistedElem(basis, terms), True
+    g = draw(st.sampled_from(sorted(terms)))
+    if draw(st.booleans()):
+        odd = GroupElem.generator(draw(st.integers(1, n)), draw(st.sampled_from((-3, -1, 1, 3))))
+        terms[g * odd] = terms.pop(g)
+    else:
+        radicals = draw(st.frozensets(st.integers(1, n), min_size=1))
+        terms[g] += MQElem(basis, {radicals: draw(st.fractions().filter(bool))})
+    return TwistedElem(basis, terms), False
+
+
+@given(central_or_broken())
+def test_center_tests_agree_by_construction(case):
+    elem, central = case
+    n = len(elem.parent)
+    assert elem.is_central_by_commutation(n) == elem.is_central_by_form() == central
+
+
+def test_non_mq_operands_are_type_errors():
+    g = GroupElem.generator(1)
+    for coeff in (Fraction(1, 2), 3):
+        with pytest.raises(TypeError, match="^coefficients must be MQElems$"):
+            TwistedElem(BASIS, {g: coeff})
+    x = gen(1)
+    with pytest.raises(TypeError):
+        x * 3
+    with pytest.raises(TypeError, match="^commutator needs a TwistedElem$"):
+        x.commutator(3)
 
 
 def test_samplers_build_what_the_validating_constructors_build():
