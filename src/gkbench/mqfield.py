@@ -19,10 +19,14 @@ each radical, and the 3^k pointwise products fold back by (m1, m2, m3) ->
 3 * 3^k, k the highest radical present, so 3^k < pairs bounds its lists.
 The denominators multiply, and one gcd pass brings the result to lowest terms.
 
-Inverses.  Split off the highest radical: a = u + v*sqrt(p_k) with u, v over
-the lower indices; then a^-1 = (u - v*sqrt(p_k)) * (u^2 - v^2*p_k)^-1, and
-the norm u^2 - v^2*p_k is inverted in the subfield; the base case inverts a
-rational.
+Inverses.  Split off the highest radical: a = u + v*sqrt(p_k), u and v over
+radicals 1..j, j = k - 1; then a^-1 = (u - v*sqrt(p_k)) * N^-1, the norm
+N = u^2 - v^2*p_k inverted in the subfield, down to a rational.  A level of
+t terms with t^2 >= 2 * 3^j stays in the transform: u, v expand to U, V, N's
+numerators over den^2 fold from U*U - p_k*V*V, N^-1 expands to W, and U*W,
+-V*W fold to the halves over den * den(N^-1), the upper one at mask | bit.
+Sparser levels take the products, so t^2 bounds the lists (no 3^63 slots
+for 64 primes).
 
 Automorphisms.  f_i negates sqrt(p_i) and fixes every other generator, so it
 negates the terms whose mask has bit i-1 set.  An element is fixed by all of
@@ -88,15 +92,20 @@ def _expand(terms: dict, k: int) -> list:
     return vec
 
 
-def _three_products(a: dict, b: dict, k: int, primes) -> dict:
-    """{mask: numerator} of a*b over radicals 1..k by the three-product rule
-    (module docstring)."""
-    vec = list(map(mul, _expand(a, k), _expand(b, k)))
-    for p in primes[:k]:
+def _fold(vec: list, primes) -> dict:
+    """{mask: numerator} of 3^k pointwise products over radicals 1..k, k =
+    len(primes), folded back by the three-product rule (module docstring);
+    the transform's one decode, for products and inverses alike."""
+    for p in primes:
         # the stride-1 axis (m1, m2, m3) becomes (m1 + p*m2, m3 - m1 - m2) on top
         m1, m2, m3 = vec[0::3], vec[1::3], vec[2::3]
         vec = [x + p * y for x, y in zip(m1, m2)] + [z - x - y for x, y, z in zip(m1, m2, m3)]
     return dict(enumerate(vec))
+
+
+def _three_products(a: dict, b: dict, k: int, primes) -> dict:
+    """{mask: numerator} of a*b over radicals 1..k by the three-product rule."""
+    return _fold(list(map(mul, _expand(a, k), _expand(b, k))), primes[:k])
 
 
 class _PrimeProducts(dict):
@@ -204,13 +213,14 @@ class MQElem(TermSum):
                         f"radical index {i} outside basis range 1..{n}"
                     )
                 mask |= 1 << (i - 1)
-            if type(value) is not Fraction:
-                value = Fraction(value)
-            if value:
-                clean[mask] = value
+            if mask.bit_count() != len(subset):
+                raise ValueError(f"the key {subset!r} repeats a radical index")
+            if mask in clean:
+                raise ValueError(f"two keys name the radical subset {tuple(_indices(mask))}")
+            clean[mask] = value if type(value) is Fraction else Fraction(value)
         den = lcm(*(v.denominator for v in clean.values()))
         self.parent = basis
-        self.terms = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
+        self.terms = {m: v.numerator * (den // v.denominator) for m, v in clean.items() if v}
         self.den = den
 
     @classmethod
@@ -314,14 +324,28 @@ class MQElem(TermSum):
         if top == 0:
             (c,) = self.terms.values()
             return MQElem._make(basis, {0: den if c > 0 else -den}, abs(c))
-        bit = 1 << (top - 1)
-        u = MQElem._make(basis, {s: c for s, c in self.terms.items() if not s & bit}, den)
-        v = MQElem._make(basis, {s ^ bit: c for s, c in self.terms.items() if s & bit}, den)
-        norm = u * u - v * v * MQElem._make(basis, {0: basis.primes[top - 1]})
+        j = top - 1
+        bit, p = 1 << j, basis.primes[j]
+        u = {s: c for s, c in self.terms.items() if not s & bit}
+        v = {s ^ bit: c for s, c in self.terms.items() if s & bit}
+        dense = len(self.terms) ** 2 >= 2 * 3**j  # the route rule (module docstring)
+        if dense:
+            # x, y, z are the docstring's U, V, W
+            primes, x, y = basis.primes[:j], _expand(u, j), _expand(v, j)
+            norm = MQElem._make(basis, _fold([a * a - p * b * b for a, b in zip(x, y)], primes), den * den)
+        else:
+            u, v = MQElem._make(basis, u, den), MQElem._make(basis, v, den)
+            norm = u * u - v * v * MQElem._make(basis, {0: p})
         if not norm:
             # impossible for a nonzero element of a field; guarded anyway
             raise ArithmeticError("conjugate norm vanished for a nonzero element")
-        return self._flip(bit) * norm.inv()
+        if not dense:
+            return self._flip(bit) * norm.inv()
+        w = norm.inv()
+        z = _expand(w.terms, j)
+        out = _fold(list(map(mul, x, z)), primes)
+        out.update((s | bit, -c) for s, c in _fold(list(map(mul, y, z)), primes).items())
+        return MQElem._make(basis, out, den * w.den)
 
     # --- automorphisms ----------------------------------------------------
 

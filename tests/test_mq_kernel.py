@@ -1,8 +1,9 @@
 """The integer bitmask kernel of `MQElem` against the Fraction oracle in
 mqoracle.py: products by both routes (the term-pair loop and the
-three-product transform) on either side of their crossover, inverses, sums,
-sign flips, the `coeffs` view, word sizes, and bases too large for any table
-of 2^n entries."""
+three-product transform) on either side of their crossover, inverses by
+both routes (products, or expansions and folds inside the transform) on
+either side of their rule, sums, sign flips, the `coeffs` view, word sizes,
+and bases too large for any table of 2^n entries."""
 
 import random
 from fractions import Fraction
@@ -231,3 +232,126 @@ def test_a_sparse_product_over_sixty_four_primes_stays_on_the_term_pairs():
     c = from_masks(basis, {rng.getrandbits(64): Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(13)})
     _, dense = assert_product_matches_the_oracle(c, c)
     assert not dense and len(c.terms) == 13
+
+
+# --- the inverse's two routes ----------------------------------------------------
+
+
+def inverse_routes(a):
+    """a.inv(), and the radical counts j of the inverse levels that ran in the
+    transform: the folds the inverse made itself, not through a product."""
+    fold, three = mqfield._fold, mqfield._three_products
+    levels, in_product = [], []
+
+    def spy_fold(vec, primes):
+        if not in_product:
+            levels.append(len(primes))
+        return fold(vec, primes)
+
+    def spy_three(*args):
+        in_product.append(True)
+        try:
+            return three(*args)
+        finally:
+            in_product.pop()
+
+    with mock.patch.object(mqfield, "_fold", spy_fold), mock.patch.object(mqfield, "_three_products", spy_three):
+        inverse = a.inv()
+    return inverse, levels
+
+
+def assert_inverse(a):
+    inverse, levels = inverse_routes(a)
+    assert a * inverse == a.parent.one()
+    assert inverse.den > 0 and all(type(c) is int and c for c in inverse.terms.values())
+    assert gcd(inverse.den, *inverse.terms.values()) == 1
+    return inverse, levels
+
+
+@st.composite
+def inverse_case(draw):
+    """A nonzero element over a basis of up to 8 primes, dense over k <= 6
+    consecutive radicals shifted up by `low` (so the top radical varies), with
+    numerators up to 2**3, 2**40 or 2**130 over varied denominators.  Shapes
+    on a = u + v*sqrt(p_top): dense; u dense beside a one-term v, and the
+    reverse; an element of a proper subfield (a random part of the window's
+    radicals); and m*b, m one radical product just under the top and b free
+    of its radicals, so that the norm m^2 * N(b) loses them (their mask is
+    drawn beside the element, 0 for the other shapes)."""
+    n = draw(st.sampled_from((8, 7, 6, 5, 4, 3, 2, 1)))
+    k = min(n, draw(st.sampled_from((6, 5, 4, 3, 2, 1))))
+    low = draw(st.integers(0, n - k))
+    basis = WIDE[n]
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    bound = 2 ** draw(st.sampled_from((3, 40, 130)))
+    rng = draw(st.randoms(use_true_random=False))
+    top = 1 << (k - 1)
+
+    def element(masks):
+        values = {m << low: Fraction(rng.randint(-bound, bound) or 1, rng.choice(dens)) for m in masks}
+        return from_masks(basis, values)
+
+    shape = draw(st.sampled_from(("dense", "dense u", "dense v", "subfield", "norm drop")))
+    if shape == "dense":
+        return element(range(1 << k)), 0
+    if shape in ("dense u", "dense v"):
+        one, many = [draw(st.integers(0, top - 1))], list(range(top))
+        lower, upper = (many, one) if shape == "dense u" else (one, many)
+        return element(lower + [top | m for m in upper]), 0
+    if shape == "subfield":  # over some of the window's radicals, maybe none
+        radicals = draw(st.integers(0, (1 << k) - 2))
+        return element([m for m in range(1 << k) if not m & ~radicals]), 0
+    # m: the product of the `drop` radicals just under the top
+    drop = draw(st.integers(min(1, k - 1), k - 1))
+    lost = (top - 1) ^ ((top >> drop) - 1)
+    m = from_masks(basis, {lost << low: 1})
+    return m * element([s for s in range(1 << k) if not s & lost]), lost << low
+
+
+def norm_by_products(a):
+    """u^2 - p*v^2 for a = u + v*sqrt(p), p the prime of a's top radical."""
+    basis, top = a.parent, max(a.terms).bit_length()
+    bit = 1 << (top - 1)
+    u = MQElem._make(basis, {s: c for s, c in a.terms.items() if not s & bit}, a.den)
+    v = MQElem._make(basis, {s ^ bit: c for s, c in a.terms.items() if s & bit}, a.den)
+    return u * u - v * v * basis.rational(basis.primes[top - 1])
+
+
+@given(inverse_case())
+def test_inverses_by_either_route_are_canonical_and_unique(case):
+    a, lost = case
+    inverse, _ = assert_inverse(a)
+    assert inverse.inv() == a
+    if lost:
+        assert not any(s & lost for s in norm_by_products(a).terms)
+
+
+def test_the_inverse_switches_route_at_the_rule():
+    """A level of t terms over radicals 1..j + 1 runs in the transform exactly
+    when t^2 >= 2 * 3^j: at the least such t, and not one term below it; the
+    split of the t terms between u and v does not matter."""
+    rng = random.Random(20)
+    basis = WIDE[8]
+    for j in range(1, 8):
+        least = next(t for t in range(2, 300) if t * t >= 2 * 3**j)
+        top = 1 << j
+        for t in (least - 1, least):
+            for uppers in (1, t // 2, t - 1):  # terms of v: one, half, all but one
+                masks = rng.sample(range(top), t - uppers) + [top | m for m in rng.sample(range(top), uppers)]
+                a = from_masks(basis, {m: Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.randint(1, 9)) for m in masks})
+                assert len(a.terms) == t and max(a.terms).bit_length() == j + 1
+                _, levels = assert_inverse(a)
+                assert (j in levels) is (t == least), (j, t, uppers)
+
+
+def test_an_inverse_over_sixty_four_primes_stays_on_the_products():
+    """Levels of 2 or 3 terms under top radicals 64 and 63, where t^2 < 2 *
+    3^j by far, and then a rational norm: no level runs in the transform, so
+    nothing builds 3^63 slots."""
+    basis = PrimeBasis.first(64)
+    for a in (
+        basis.radical(64) + basis.radical(1) * basis.radical(63),
+        from_masks(basis, {1 << 63: Fraction(3, 2), 1 | 1 << 40: Fraction(-1, 7), 1 << 62 | 1 << 5: 5}),
+    ):
+        inverse, levels = assert_inverse(a)
+        assert levels == [] and inverse.inv() == a

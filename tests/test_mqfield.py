@@ -47,6 +47,20 @@ def test_element_rejects_out_of_range_subset():
         mq({frozenset({6}): 1})
 
 
+def test_element_rejects_a_repeated_index_and_two_keys_for_one_subset():
+    """sqrt(p1)*sqrt(p1) = p1, so a key (1, 1) is not the subset {1}; and two
+    keys naming one subset would overwrite each other, even when one is zero."""
+    with pytest.raises(ValueError, match=r"the key \(1, 1\) repeats a radical index"):
+        mq({(1, 1): 3})
+    with pytest.raises(ValueError, match=r"the key \(2, 3, 2\) repeats"):
+        BASIS.element({(2, 3, 2): 1})
+    with pytest.raises(ValueError, match=r"two keys name the radical subset \(1, 2\)"):
+        mq({(1, 2): 1, (2, 1): 1})
+    with pytest.raises(ValueError, match=r"two keys name the radical subset \(\)"):
+        BASIS.element({(): 0, frozenset(): 5})
+    assert mq({(2, 1): 1, (1,): 0}) == mq({frozenset({1, 2}): 1})
+
+
 def test_canonical_form_drops_zeros():
     assert mq({frozenset({1}): 0}) == BASIS.zero()
     assert not mq({frozenset({1}): Fraction(0)})
