@@ -3,11 +3,13 @@ with sign twists, twisted group rings, quantum affine spaces at roots of
 unity, and the growth-degree statistics of the algebras they generate."""
 
 import importlib
+import sys
 
 # Each submodule and the public names it defines.  A submodule is imported
 # on first access to one of its names (PEP 562), so `import gkbench` loads
 # only what the caller uses.  Names are looked up in the submodule on every
-# access, not copied here, so a name rebound there is seen here too.
+# access, not copied here, so a name rebound there is seen here too; the
+# submodule itself comes from sys.modules, imported only on a miss.
 _EXPORTS = {
     "budget": ("WorkBudgetExceeded",),
     "campaigns": ("campaign_names", "run_campaign"),
@@ -50,7 +52,9 @@ def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    full = f"{__name__}.{module}"
+    found = sys.modules.get(full) or importlib.import_module(full)
+    return getattr(found, name)
 
 
 def __dir__():

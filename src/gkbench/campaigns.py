@@ -382,8 +382,8 @@ def _campaign_confluence(rng, words=200, orders=20):
     for _ in range(words):
         alg = rng.choice(algebras)
         word = random_word(rng, alg, max_len=8)
-        # two routes: the rewriter in every order, and the closed-form
-        # QPoly product of the word's generators
+        # three routes: the inversion count, the rewriter in random orders,
+        # and the closed-form QPoly product of the word's generators
         reference = normal_form(word)
         closed = alg.scalar(word.scalar)
         for i in word.indices:

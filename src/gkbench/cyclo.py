@@ -18,8 +18,8 @@ the two are multiplied once, and the product is unpacked with signs and
 reduced.  Packing and unpacking run in C (`array`, `memoryview`) for slots
 of up to 8 bytes.  `QPoly` products use the same `_pack`/`_unpack`, once
 per product rather than once per term pair.  Multiplying by zeta**k is an
-index shift (`times_zeta`), and `conjugate(k)` applies the automorphism
-zeta -> zeta**k.
+index shift (`times_zeta`); `_times` folds a product and such a shift into
+one pass, and `conjugate(k)` applies the automorphism zeta -> zeta**k.
 
 Inverses.  Down the tower Q(zeta_{p^k}) > Q(zeta_{p^(k-1)}) > ... > Q: the
 product r of the conjugates of a over the next field down makes a*r a
@@ -234,7 +234,7 @@ class CycField:
         return _elem(self, [0] * self.degree)
 
     def one(self) -> "CycElem":
-        return self.rational(1)
+        return _elem(self, [1] + [0] * (self.degree - 1))
 
     def rational(self, value) -> "CycElem":
         value = Fraction(value)
@@ -307,20 +307,27 @@ class CycElem:
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check_field(other)
+        return self._times(other, 0)
+
+    def _times(self, other: "CycElem", k: int) -> "CycElem":
+        """self * other * zeta**k in one pass, other in the same field.  If
+        either factor is a monomial c*zeta**j, the other is shifted by j + k
+        and scaled by c; two dense factors make one packed product, then
+        one shift."""
         field = self.field
         a, b = self.nums, other.nums
         if not (any(a) and any(b)):
             return field.zero()
         level = field._level
-        k = _lone(b)
-        if k >= 0:
-            nums = [c * b[k] for c in level.shift(a, k)]
+        j = _lone(b)
+        if j >= 0:
+            nums = [c * b[j] for c in level.shift(a, j + k)]
         else:
-            k = _lone(a)
-            if k >= 0:
-                nums = [c * a[k] for c in level.shift(b, k)]
+            j = _lone(a)
+            if j >= 0:
+                nums = [c * a[j] for c in level.shift(b, j + k)]
             else:
-                nums = level.mul(a, b)
+                nums = level.shift(level.mul(a, b), k)
         return _normal(field, nums, self.den * other.den)
 
     def __pow__(self, exponent: int):

@@ -206,14 +206,23 @@ class MQElem(TermSum):
         clean = {}
         for subset, value in dict(coeffs).items():
             mask = 0
-            for i in subset:
-                i = int(i)
-                if not 1 <= i <= n:
-                    raise IndexError(
-                        f"radical index {i} outside basis range 1..{n}"
-                    )
-                mask |= 1 << (i - 1)
-            if mask.bit_count() != len(subset):
+            try:
+                for i in subset:
+                    if type(i) is not int:
+                        raise ValueError(
+                            f"the key {subset!r} has a radical index {i!r} that is not an int"
+                        )
+                    if not 1 <= i <= n:
+                        raise IndexError(
+                            f"radical index {i} outside basis range 1..{n}"
+                        )
+                    mask |= 1 << (i - 1)
+                size = len(subset)
+            except TypeError:
+                raise ValueError(
+                    f"the key {subset!r} is not a collection of radical indices"
+                ) from None
+            if mask.bit_count() != size:
                 raise ValueError(f"the key {subset!r} repeats a radical index")
             if mask in clean:
                 raise ValueError(f"two keys name the radical subset {tuple(_indices(mask))}")

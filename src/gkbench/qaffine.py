@@ -4,14 +4,15 @@ unity.  Words in the free generators reduce to a scalar multiple of the
 unique sorted monomial (every adjacent swap that moves a higher index left
 past a lower one costs a factor q**-1), and polynomials are canonical maps
 {exponent vector: nonzero scalar}: a `ringops.TermSum` over the algebra,
-whose sum, negation and equality are the shared ones.  Products skip the
-rewriting: sorting x^e x^f takes sum_{i>j} e_i f_j swaps, so the product is
-that power of q**-1 times x^(e+f).  The rewriting (`normal_form`,
-`normal_form_random`) stays only as the oracle that the `confluence`
-campaign and the tests compare the product against.  Likewise the
-dimension count dim V^r is the closed form C(n+r, r), charging the work
-budget for the monomials it counts, and the listing survives as
-`dim_Vr_oracle`.
+whose sum, negation and equality are the shared ones.  Nothing on the
+production path rewrites: `normal_form` counts a word's inversions letter by
+letter and applies q**-swaps once, and sorting x^e x^f takes
+sum_{i>j} e_i f_j swaps, so a product is that power of q**-1 times x^(e+f).
+`normal_form_random`, swap by swap in a random order, is the rewriting
+oracle that the `confluence` campaign checks against the count and against
+the product of the word's generators.  Likewise the dimension count dim V^r
+is the closed form C(n+r, r), charging the work budget for the monomials it
+counts, and the listing survives as `dim_Vr_oracle`.
 
 The module also hosts the two structural checks the construction is used
 for: centrality of prime-power powers of the generators, and whether a
@@ -78,8 +79,8 @@ class QAlgebra:
         if power < 0:
             raise ValueError("generator exponents must be nonnegative")
         exps = [0] * self.n
-        exps[i - 1] = power
-        return QPoly(self, {tuple(exps): self.field.one()})
+        exps[i - 1] = int(power)
+        return QPoly._make(self, {tuple(exps): self.field.one()})
 
     def word(self, indices, scalar: Optional[CycElem] = None) -> "FreeWord":
         return FreeWord(self, tuple(indices), scalar or self.field.one())
@@ -115,45 +116,37 @@ class FreeWord:
 
 
 def normal_form(word: FreeWord) -> "QPoly":
-    """Reduce a word to its canonical single-term polynomial by adjacent
-    swaps: each swap x_j x_i -> x_i x_j with j > i multiplies the scalar by
-    q**-1.  Inversions are resolved leftmost first."""
-    return _rewrite(word, _leftmost_inversion)
+    """Canonical single-term polynomial of a word, by counting: sorting it
+    moves each letter x_i left past every earlier x_j with j > i, one factor
+    q**-1 each, so the swaps are the word's inversions, counted letter by
+    letter in O(len * n), and q**-swaps is applied once.  The budget is
+    charged len**2, the swaps the rewriting oracle may make."""
+    budget.charge(max(1, len(word.indices) ** 2))
+    alg = word.algebra
+    exps = [0] * alg.n
+    swaps = 0
+    for i in word.indices:
+        swaps += sum(exps[i:])
+        exps[i - 1] += 1
+    return QPoly._make(alg, {tuple(exps): word.scalar.times_zeta(-swaps)})
 
 
 def normal_form_random(word: FreeWord, rng) -> "QPoly":
-    """Same reduction, but resolving the inversions in an rng-chosen order;
-    the result must not depend on the order (confluence)."""
-
-    def pick(idx, start):
-        spots = [k for k in range(len(idx) - 1) if idx[k] > idx[k + 1]]
-        return rng.choice(spots) if spots else -1
-
-    return _rewrite(word, pick)
-
-
-def _leftmost_inversion(idx, start):
-    # a swap at k can only create a new inversion at k - 1, so the scan
-    # resumes there
-    for k in range(max(0, start - 1), len(idx) - 1):
-        if idx[k] > idx[k + 1]:
-            return k
-    return -1
-
-
-def _rewrite(word: FreeWord, pick) -> "QPoly":
-    """The rewriting loop: swap the adjacent inversion pick(idx, last) names
-    until there is none, then apply q**-swaps to the scalar once.  The
-    budget is charged here, once per word, for the at most len**2 swaps."""
+    """The rewriting oracle: swap an rng-chosen adjacent inversion
+    x_j x_i -> x_i x_j (j > i) until there is none, then apply q**-swaps to
+    the scalar once.  The result must not depend on the order (confluence)
+    and must equal the count.  Charged like `normal_form`."""
     budget.charge(max(1, len(word.indices) ** 2))
     alg = word.algebra
     idx = list(word.indices)
     swaps = 0
-    k = pick(idx, 0)
-    while k >= 0:
+    while True:
+        spots = [k for k in range(len(idx) - 1) if idx[k] > idx[k + 1]]
+        if not spots:
+            break
+        k = rng.choice(spots)
         idx[k], idx[k + 1] = idx[k + 1], idx[k]
         swaps += 1
-        k = pick(idx, k)
     exps = [0] * alg.n
     for i in idx:
         exps[i - 1] += 1
@@ -178,7 +171,7 @@ class QPoly(TermSum):
                 )
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
-            if coeff.field != algebra.field:
+            if coeff.field is not algebra.field and coeff.field != algebra.field:
                 raise ValueError("coefficient outside the algebra's field")
             if coeff:
                 clean[exps] = coeff
@@ -188,28 +181,30 @@ class QPoly(TermSum):
     # --- ring operations -------------------------------------------------------
 
     def scale(self, value: CycElem) -> "QPoly":
-        if value.field != self.parent.field:
+        field = self.parent.field
+        if value.field is not field and value.field != field:
             raise ValueError("scalar outside the algebra's field")
         return QPoly._make(self.parent, {e: c * value for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        """One term pair is a field product and an index shift.  More are
-        summed by Kronecker substitution once per product: each coefficient
-        is packed once, over its side's common denominator, in slots wide
-        enough for any output slot (at most min(|a|, |b|) pairs meet in an
-        output monomial).  A pair costs one big-int product, shifted by
-        -crossings slots (zeta**m = 1) into its monomial's sum; each sum is
-        unpacked, reduced and brought to lowest terms once."""
+        """One term pair is one shifted field product, `CycElem._times`.
+        More are summed by Kronecker substitution once per product: each
+        coefficient is packed once, over its side's common denominator, in
+        slots wide enough for any output slot (at most min(|a|, |b|) pairs
+        meet in an output monomial).  A pair costs one big-int product,
+        shifted by -crossings slots (zeta**m = 1) into its monomial's sum;
+        each sum is unpacked, reduced and brought to lowest terms once."""
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
         budget.charge(max(1, len(a) * len(b)))
         if len(a) * len(b) <= 1:
-            return QPoly._make(self.parent, {
-                tuple(map(add, e, f)): (x * y).times_zeta(-_crossings(e, f))
-                for e, x in a.items() for f, y in b.items()
-            })
+            if not a or not b:
+                return QPoly._make(self.parent, {})
+            (e, x), = a.items()
+            (f, y), = b.items()
+            return QPoly._make(self.parent, {tuple(map(add, e, f)): x._times(y, -_crossings(e, f))})
         field = self.parent.field
         level = field._level
         den_a, nums_a, top_a = _over_lcm(a)

@@ -89,7 +89,7 @@ class TermSum:
         return elem
 
     def _check(self, other):
-        if self.parent != other.parent:
+        if self.parent is not other.parent and self.parent != other.parent:
             raise ValueError(self._mismatch)
 
     def __bool__(self):
@@ -119,7 +119,7 @@ class TermSum:
     def __eq__(self, other):
         return (
             isinstance(other, type(self))
-            and self.parent == other.parent
+            and (self.parent is other.parent or self.parent == other.parent)
             and self.terms == other.terms
         )
 

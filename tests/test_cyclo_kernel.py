@@ -102,6 +102,29 @@ def test_product_with_monomial_matches_schoolbook(args, data):
     assert (b * a).coeffs == want
 
 
+@st.composite
+def factors(draw, field):
+    """Zero, a monomial c*zeta**j and an element with every coefficient
+    nonzero (a monomial too at degree 1): one of each kind of factor."""
+    den = draw(st.integers(1, 12))
+    coeffs = [Fraction(0)] * field.degree
+    coeffs[draw(st.integers(0, field.degree - 1))] = Fraction(draw(st.integers(-9, 9).filter(bool)), den)
+    nums = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=field.degree, max_size=field.degree))
+    return field.zero(), CycElem(field, coeffs), CycElem(field, [Fraction(n, den) for n in nums])
+
+
+@given(st.sampled_from(LEVELS), st.data())
+def test_shifted_product_is_the_product_then_the_shift(level, data):
+    field = FIELDS[level]
+    k = data.draw(st.integers(-2 * field.m, 2 * field.m))
+    xs, ys = data.draw(factors(field)), data.draw(factors(field))
+    for x in xs:
+        for y in ys:
+            shifted = x._times(y, k)
+            assert shifted == (x * y).times_zeta(k)
+            assert_canonical(shifted)
+
+
 def test_dense_product_with_large_coefficients():
     field = FIELDS[3, 2]
     rng = random.Random(7)
@@ -236,6 +259,21 @@ def test_closed_form_product_matches_normal_form(alg, data):
     a, b = data.draw(elements(alg.field)), data.draw(elements(alg.field))
     product = QPoly(alg, {e: a}) * QPoly(alg, {f: b})
     assert product == normal_form(FreeWord(alg, expand(e) + expand(f), a * b))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_trusted_builders_match_the_validating_constructors(level):
+    field = FIELDS[level]
+    unit = [1] + [0] * (field.degree - 1)
+    assert field.one() == CycElem(field, unit) == field.rational(1)
+    assert_canonical(field.one())
+    for n in (1, 3):
+        alg = QAlgebra(n, field)
+        for i in range(1, n + 1):
+            for k in (0, 1, 5):
+                exps = [0] * n
+                exps[i - 1] = k
+                assert alg.generator(i, k) == QPoly(alg, {tuple(exps): CycElem(field, unit)})
 
 
 def test_qpoly_power_matches_repeated_products():

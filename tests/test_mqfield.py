@@ -61,6 +61,19 @@ def test_element_rejects_a_repeated_index_and_two_keys_for_one_subset():
     assert mq({(2, 1): 1, (1,): 0}) == mq({frozenset({1, 2}): 1})
 
 
+def test_element_rejects_keys_that_are_not_collections_of_int_indices():
+    basis = PrimeBasis.first(12)
+    with pytest.raises(ValueError, match=r"the key '12' has a radical index '1' that is not an int"):
+        basis.element({"12": 1})
+    with pytest.raises(ValueError, match=r"the key \(1\.9,\) has a radical index 1\.9 that is not an int"):
+        basis.element({(1.9,): 1})
+    with pytest.raises(ValueError, match=r"the key 1 is not a collection of radical indices"):
+        basis.element({1: 3})
+    a = basis.element({frozenset({1, 12}): 3, (): Fraction(1, 2)})
+    assert a == basis.element({(12, 1): 3, (): Fraction(1, 2)})
+    assert basis.element(a.coeffs) == a
+
+
 def test_canonical_form_drops_zeros():
     assert mq({frozenset({1}): 0}) == BASIS.zero()
     assert not mq({frozenset({1}): Fraction(0)})

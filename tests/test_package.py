@@ -56,3 +56,14 @@ def test_names_follow_rebinding_in_the_submodule(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(qaffine, "normal_form", sentinel)
     assert gkbench.normal_form is sentinel
+
+
+def test_a_loaded_submodule_is_read_without_importing(monkeypatch):
+    from gkbench import qaffine
+
+    calls = []
+    real = importlib.import_module
+    monkeypatch.setattr(importlib, "import_module", lambda *args: calls.append(args) or real(*args))
+    assert gkbench.QAlgebra is qaffine.QAlgebra
+    assert gkbench.QAlgebra is qaffine.QAlgebra
+    assert calls == []

@@ -1,8 +1,10 @@
 """The packed `QPoly` product against the per-term-pair oracle in
 qoracle.py: every workload level plus t = 0, n = 1..4, mixed denominators,
 numerators past 2**64, cancelled terms, single-term operands, the budget
-charge, and sums that fill the slot width exactly."""
+charge, and sums that fill the slot width exactly.  Also the counted normal
+form against the rewriting oracle and the generator product."""
 
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from gkbench import budget
 from gkbench.cyclo import CycField
-from gkbench.qaffine import QAlgebra, QPoly
+from gkbench.qaffine import QAlgebra, QPoly, normal_form, normal_form_random
 from qoracle import crossings, q_mul
 
 LEVELS = ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
@@ -106,3 +108,22 @@ def test_worst_case_sum_fits_its_slot(level, width):
         a = QPoly(alg, {(0,): dense, (1,): dense})
         assert a * a == q_mul(a, a)
         assert a * -a == q_mul(a, -a)
+
+
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(TOPS), st.data())
+def test_counted_normal_form_matches_the_rewrites_and_the_product(alg, top, data):
+    """Three routes to a word's normal form: the inversion count, the swap
+    by swap rewrite in random orders, and the scalar times the product of
+    the word's generators.  The count charges what the rewrite may swap."""
+    indices = data.draw(st.lists(st.integers(1, alg.n), max_size=40))
+    scalar = data.draw(scalars(alg.field, top))
+    word = alg.word(indices, scalar)
+    counted, ops = charged(normal_form, word)
+    assert ops == max(1, len(indices) ** 2)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(2):
+        assert normal_form_random(word, rng) == counted
+    product = alg.scalar(scalar)
+    for i in indices:
+        product = product * alg.generator(i)
+    assert product == counted
