@@ -25,7 +25,6 @@ def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: in
         inputs,
         {
             "degree": est.label,
-            "raw": round(est.raw, 4),
             "expected": expected,
             "note": _SUBSPACE_NOTE,
         },

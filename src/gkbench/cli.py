@@ -164,14 +164,11 @@ def _cmd_growth_estimate(args):
         {"series": args.series, "points": len(series)},
         {
             "degree": est.label,
-            "raw": round(est.raw, 4),
-            "residual": round(est.fit_residual, 6),
             "exact": est.exact,
         },
         not est.inconclusive,
     )
-    rs = series.rs
-    if len(series) >= 4 and all(b - a == 1 for a, b in zip(rs, rs[1:])):
+    if len(series) >= 4 and series.consecutive:
         fit = slope_extract(series)
         yield record(
             "growth.slope",

@@ -3,19 +3,18 @@
 Every sequence produced inside this package is eventually an exact integer
 polynomial in r (affine for the gamma model, binomial for the quantum
 affine spaces), and the paper's growth degrees are non-negative integers or
-infinite, so a degree is reported only when an exact certificate pins it:
-finite differences for a uniformly spaced polynomial, or the ratio
+infinite, so every verdict is an exact statement about the window, reached
+in integer arithmetic.  A degree is certified by finite differences for a
+uniformly spaced polynomial, or by the ratio
 L(r) = r * (d_r - d_{r-1}) / d_{r-1}, equal to one integer D at every step
-exactly when d_r = c * C(r + D, D).  Both are integer arithmetic.  Without
-a certificate the verdict is unbounded when L rises by at least 1/2 at
-every step of the tail half, and inconclusive otherwise.  The least-squares
-slope of log(dim) against log(r) over the tail half is reported alongside
-as the raw statistic.
+exactly when d_r = c * C(r + D, D).  Without a certificate, k uniformly
+spaced points whose (k-1)-th difference is nonzero fit no polynomial of
+degree <= k - 2, and the verdict is the bound >=k-1; anything else is
+inconclusive.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import NamedTuple, Optional
 
@@ -75,6 +74,16 @@ class GrowthSeries:
     def rs(self):
         return tuple(r for r, _ in self.points)
 
+    @property
+    def steps(self) -> set:
+        """The distinct gaps between successive r values."""
+        rs = self.rs
+        return {b - a for a, b in zip(rs, rs[1:])}
+
+    @property
+    def consecutive(self) -> bool:
+        return self.steps <= {1}
+
     def __len__(self):
         return len(self.points)
 
@@ -99,31 +108,33 @@ def _prefix(text: str, size: int = 40) -> str:
 
 
 class DegreeEstimate(NamedTuple):
-    """Outcome of the degree estimator.
+    """Outcome of the degree estimator, one of three exact verdicts.
 
-    raw is the tail-half log-log least-squares slope and fit_residual the
-    sum of squared residuals of that fit; snapped is the integer degree when
-    a certificate established it; unbounded flags the super-polynomial
-    signature.  A series with neither is inconclusive.
+    snapped is the integer degree when a certificate established it;
+    at_least is k - 1 when none did and the (k-1)-th difference of the k
+    uniformly spaced points is nonzero, so that no polynomial of degree at
+    most k - 2 fits the window.  A series with neither is inconclusive.
     """
 
-    raw: float
     snapped: Optional[int]
-    unbounded: bool
-    fit_residual: float
+    at_least: Optional[int]
 
     @property
     def exact(self) -> bool:
         return self.snapped is not None
 
     @property
+    def unbounded(self) -> bool:
+        return self.at_least is not None
+
+    @property
     def inconclusive(self) -> bool:
-        return self.snapped is None and not self.unbounded
+        return self.snapped is None and self.at_least is None
 
     @property
     def label(self) -> str:
-        if self.unbounded:
-            return "unbounded"
+        if self.at_least is not None:
+            return f">={self.at_least}"
         return "inconclusive" if self.snapped is None else str(self.snapped)
 
 
@@ -132,48 +143,34 @@ class LinearFit(NamedTuple):
     offset: int
 
 
-def _loglog_fit(points) -> tuple[float, float]:
-    xs = [math.log(r) for r, _ in points]
-    ys = [math.log(d) for _, d in points]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        raise ValueError("need at least two distinct r values to fit")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = cov / var
-    intercept = mean_y - slope * mean_x
-    residual = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
-    return slope, residual
-
-
-def _difference_degree(points) -> Optional[int]:
-    """Exact polynomial degree of a uniformly spaced integer sequence, or
-    None: successive differences of a degree-d polynomial become constant
-    after d steps.  At least three equal values are required to certify."""
-    rs = [r for r, _ in points]
-    steps = {b - a for a, b in zip(rs, rs[1:])}
-    if len(steps) != 1:
-        return None
-    values = [d for _, d in points]
-    k = 0
+def _differences(series: GrowthSeries) -> tuple[Optional[int], bool]:
+    """(degree, bounded) from the difference table of a uniformly spaced
+    series of k points.  Successive differences of a degree-d polynomial
+    become constant after d steps: degree is certified by the first row of
+    at least three equal values.  bounded says that no row did and that the
+    last row, the (k-1)-th difference, is nonzero.  (None, False) for any
+    other spacing."""
+    if len(series.steps) > 1:
+        return None, False
+    values = [d for _, d in series.points]
+    row = 0
     while len(values) >= 3:
         if all(v == values[0] for v in values):
-            return k
+            return row, False
         values = [b - a for a, b in zip(values, values[1:])]
-        k += 1
-    return None
+        row += 1
+    return None, values[0] != values[1]
 
 
-def _ratios(points) -> list[tuple[int, int]]:
+def _ratios(series: GrowthSeries) -> list[tuple[int, int]]:
     """L(r) = r * (d_r - d_{r-1}) / d_{r-1} as (numerator, denominator) at
     each step of a series at consecutive r; [] for any other spacing.  Since
     C(r + D, D) / C(r - 1 + D, D) = (r + D) / r, L(r) = D at every step
     exactly when d_r = c * C(r + D, D)."""
-    if any(r1 != r0 + 1 for (r0, _), (r1, _) in zip(points, points[1:])):
+    if not series.consecutive:
         return []
-    return [(r * (d1 - d0), d0) for (_, d0), (r, d1) in zip(points, points[1:])]
+    pts = series.points
+    return [(r * (d1 - d0), d0) for (_, d0), (r, d1) in zip(pts, pts[1:])]
 
 
 def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
@@ -193,25 +190,16 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     Two exact certificates pin an integer degree: finite differences
     (uniform spacing, differences eventually constant), then the binomial
     ratio L (consecutive r, L equal to one integer D throughout).  Without
-    one, the verdict is unbounded or inconclusive.
+    one, the verdict is the window bound >=k-1 or inconclusive.
     """
-    pts = series.points
-    if len(pts) < MIN_POINTS:
+    if len(series) < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    half = len(pts) // 2
-    raw, residual = _loglog_fit(pts[half:])
-    certified = _difference_degree(pts)
-    ratios = [] if certified is not None else _ratios(pts)
+    certified, bounded = _differences(series)
+    ratios = [] if certified is not None else _ratios(series)
     degree = ratios[0][0] // ratios[0][1] if ratios else None
     if ratios and all(n == degree * d for n, d in ratios):
-        certified = degree
-    if certified is not None:
-        return DegreeEstimate(raw, certified, False, residual)
-    # unbounded: L rises by at least 1/2 at every step of the tail half (for
-    # c**r, L(r) = (c - 1) * r; a polynomial's L tends to its degree)
-    tail = ratios[half:]
-    rises = (2 * (n1 * d0 - n0 * d1) >= d0 * d1 for (n0, d0), (n1, d1) in zip(tail, tail[1:]))
-    return DegreeEstimate(raw, None, bool(tail) and all(rises), residual)
+        return DegreeEstimate(degree, None)
+    return DegreeEstimate(certified, len(series) - 1 if bounded else None)
 
 
 def slope_extract(series: GrowthSeries) -> Optional[LinearFit]:
@@ -220,8 +208,7 @@ def slope_extract(series: GrowthSeries) -> Optional[LinearFit]:
     pts = series.points
     if len(pts) < 4:
         raise ValueError("need at least 4 points")
-    rs = series.rs
-    if any(b - a != 1 for a, b in zip(rs, rs[1:])):
+    if not series.consecutive:
         raise ValueError("points must sit at consecutive r")
     diffs = [d1 - d0 for (_, d0), (_, d1) in zip(pts, pts[1:])]
     run = 1

@@ -150,17 +150,19 @@ def test_short_quantum_rmax_names_the_degree(capsys, command, n, difference_wind
 
 
 @pytest.mark.parametrize(
-    "fn, hi, degree",
+    "fn, lo, hi, degree",
     [
-        (lambda r: comb(r + 6, 6), 8, "6"),  # two points short of differences
-        (lambda r: comb(r + 11, 11), 13, "11"),
-        (lambda r: r**r, 12, "unbounded"),
-        (lambda r: 2**r, 14, "unbounded"),
+        (lambda r: comb(r + 6, 6), 1, 8, "6"),  # two points short of differences
+        (lambda r: comb(r + 11, 11), 1, 13, "11"),
+        (lambda r: r**r, 1, 12, ">=11"),
+        (lambda r: 2**r, 1, 14, ">=13"),
+        # a polynomial of degree 10 seen through 8 points: the bound holds
+        (lambda r: 10**12 + r**10, 10, 17, ">=7"),
     ],
-    ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r"],
+    ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r", "10^12+r^10"],
 )
-def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, fn, hi, degree):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{fn(r)}\n" for r in range(1, hi + 1))))
+def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, fn, lo, hi, degree):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{fn(r)}\n" for r in range(lo, hi + 1))))
     code, out, err = run(capsys, "growth", "estimate", "-", "--format", "machine")
     assert (code, err) == (0, "")
     assert machine_lines(out)[0]["outputs"]["degree"] == degree

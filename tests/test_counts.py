@@ -92,7 +92,7 @@ def test_quantum_growth_and_lemma51_agree(capsys):
     campaign = {r.claim_id: r for r in run_campaign("lemma5.1", {"n": 3, "rmax": 12})}
     assert cli["quantum.growth.degree"]["outputs"] == campaign["lemma5.1.growth"].outputs
     outputs = cli["quantum.growth.degree"]["outputs"]
-    assert set(outputs) == {"degree", "raw", "expected", "note"}
+    assert set(outputs) == {"degree", "expected", "note"}
     assert outputs["degree"] == "3"
 
 
@@ -161,7 +161,7 @@ def test_theorem61_degrees_go_through_degree_claim():
     records = {r.claim_id: r for r in run_campaign("theorem6.1")}
     for n in range(1, 5):
         record = records[f"theorem6.1.degree.n{n:02d}"]
-        assert set(record.outputs) == {"degree", "raw", "expected", "note"}
+        assert set(record.outputs) == {"degree", "expected", "note"}
         assert record.outputs["degree"] == str(n) and record.passed
     assert records["theorem6.1.strictly_increasing"].outputs["estimates"] == [1, 2, 3, 4]
 

@@ -1,4 +1,4 @@
-"""Growth estimators: degree detection, slope extraction, unbounded flag."""
+"""Growth estimators: degree detection, slope extraction, the window bound."""
 
 import random
 import sys
@@ -84,20 +84,22 @@ def test_degree_polynomials_up_to_five():
 
 
 def test_nonuniform_series_without_certificate_is_inconclusive():
-    # non-uniform spacing blocks both certificates; a log-log slope of
-    # exactly 3 is not one
+    # non-uniform spacing blocks both certificates and the window bound,
+    # even on an exact cube
     pts = [(r, r**3) for r in (4, 6, 8, 12, 16, 24, 32)]
     est = degree_estimate(GrowthSeries(pts))
-    assert round(est.raw, 9) == 3
     assert est.inconclusive and not est.exact and est.snapped is None
 
 
 def test_degree_unbounded_on_superpolynomial():
     est = degree_estimate(series(lambda r: r**r, 1, 12))
-    assert est.unbounded
-    assert est.label == "unbounded"
+    assert est.unbounded and est.at_least == 11 and not est.exact
+    assert est.label == ">=11"
     est2 = degree_estimate(series(lambda r: 2**r, 1, 14))
-    assert est2.unbounded
+    assert est2.unbounded and est2.label == ">=13"
+    # no finite window tells 2^r from a polynomial of high degree; the bound
+    # is true of both
+    assert degree_estimate(series(lambda r: 10**12 + r**10, 10, 17)).label == ">=7"
 
 
 def test_short_exact_series_is_inconclusive():
@@ -123,6 +125,37 @@ def test_short_exact_series_is_inconclusive():
 def test_scaled_binomial_reads_its_degree(degree, scale, start, length):
     est = degree_estimate(series(lambda r: scale * comb(r + degree, degree), start, start + length - 1))
     assert est.snapped == degree and est.exact and not est.unbounded
+
+
+@given(
+    coeffs=st.lists(st.integers(1, 9), min_size=1, max_size=10),
+    start=st.integers(1, 30),
+    step=st.integers(1, 4),
+    k=st.integers(MIN_POINTS, 12),
+)
+def test_polynomial_never_reads_a_wrong_degree(coeffs, start, step, k):
+    # degree D = len(coeffs) - 1; a window too short to certify D may only
+    # bound it from below
+    degree = len(coeffs) - 1
+    est = degree_estimate(GrowthSeries(
+        [(r, sum(c * r**e for e, c in enumerate(coeffs))) for r in range(start, start + k * step, step)]
+    ))
+    assert est.snapped == degree or (est.unbounded and est.at_least <= degree) or est.inconclusive
+    assert est.unbounded == est.label.startswith(">=")
+
+
+@given(
+    base=st.integers(1, 5),
+    start=st.integers(1, 30),
+    step=st.integers(1, 4),
+    k=st.integers(MIN_POINTS, 12),
+)
+def test_superpolynomial_windows_read_the_bound(base, start, step, k):
+    # base 1 stands for r^r, the others for base^r
+    rs = range(start, start + k * step, step)
+    est = degree_estimate(GrowthSeries([(r, (r if base == 1 else base) ** r) for r in rs]))
+    assert est.at_least == k - 1 and est.label == f">={k - 1}"
+    assert est.unbounded == est.label.startswith(">=")
 
 
 def test_label_rendering():

@@ -39,6 +39,24 @@ def test_verify_all_reproduces_its_golden(seed):
     assert stripped_lines(seed) == golden_path(seed).read_text().splitlines()
 
 
+def floats(value):
+    """The floats anywhere inside a decoded JSON value."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for item in value for f in floats(item)]
+    return []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_golden_records_carry_no_float(seed):
+    # every claim is exact arithmetic, so no record needs a float
+    lines = golden_path(seed).read_text().splitlines()
+    assert [line for line in lines if floats(json.loads(line))] == []
+
+
 if __name__ == "__main__":
     for seed in SEEDS:
         golden_path(seed).write_text("\n".join(stripped_lines(seed)) + "\n")
