@@ -166,7 +166,7 @@ def _cmd_growth_estimate(args):
             "degree": est.label,
             "exact": est.exact,
         },
-        not est.inconclusive,
+        est.exact,
     )
     if len(series) >= 4 and series.consecutive:
         fit = slope_extract(series)

@@ -9,8 +9,11 @@ uniformly spaced polynomial, or by the ratio
 L(r) = r * (d_r - d_{r-1}) / d_{r-1}, equal to one integer D at every step
 exactly when d_r = c * C(r + D, D).  Without a certificate, k uniformly
 spaced points whose (k-1)-th difference is nonzero fit no polynomial of
-degree <= k - 2, and the verdict is the bound >=k-1; anything else is
-inconclusive.
+degree <= k - 2, and the verdict is the window bound >=k-1; anything else is
+inconclusive.  Only a certified degree is a degree: the window bound holds
+as well for an eventually affine series whose first values are off the
+line (rn_dim_series(2, 12) reads >=11 though it is 16r - 16 from r = 3
+on), so neither it nor inconclusive passes.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class DegreeEstimate(NamedTuple):
     snapped is the integer degree when a certificate established it;
     at_least is k - 1 when none did and the (k-1)-th difference of the k
     uniformly spaced points is nonzero, so that no polynomial of degree at
-    most k - 2 fits the window.  A series with neither is inconclusive.
+    most k - 2 fits the window.  That bound is about the window alone, not
+    the growth past it, so only `exact` passes.  A series with neither is
+    inconclusive.
     """
 
     snapped: Optional[int]
@@ -125,6 +130,7 @@ class DegreeEstimate(NamedTuple):
 
     @property
     def unbounded(self) -> bool:
+        """The window bound is set: no polynomial of degree <= k - 2 fits."""
         return self.at_least is not None
 
     @property

@@ -15,7 +15,7 @@ import pytest
 from gkbench import budget
 from gkbench.campaigns import campaign_names, run_campaign
 from gkbench.cli import main
-from gkbench.gammalab import rn_dim
+from gkbench.gammalab import rn_dim, rn_dim_series
 
 
 def run(capsys, *argv):
@@ -149,23 +149,32 @@ def test_short_quantum_rmax_names_the_degree(capsys, command, n, difference_wind
     assert [(r["inputs"]["n"], r["outputs"]["degree"], r["verdict"]) for r in degrees] == [(n, str(n), "pass")]
 
 
+def window(fn, lo, hi):
+    return [(r, fn(r)) for r in range(lo, hi + 1)]
+
+
 @pytest.mark.parametrize(
-    "fn, lo, hi, degree",
+    "points, degree, code",
     [
-        (lambda r: comb(r + 6, 6), 1, 8, "6"),  # two points short of differences
-        (lambda r: comb(r + 11, 11), 1, 13, "11"),
-        (lambda r: r**r, 1, 12, ">=11"),
-        (lambda r: 2**r, 1, 14, ">=13"),
+        (window(lambda r: comb(r + 6, 6), 1, 8), "6", 0),  # two points short of differences
+        (window(lambda r: comb(r + 11, 11), 1, 13), "11", 0),
+        # a window bound is no degree, so it fails like inconclusive
+        (window(lambda r: r**r, 1, 12), ">=11", 1),
+        (window(lambda r: 2**r, 1, 14), ">=13", 1),
         # a polynomial of degree 10 seen through 8 points: the bound holds
-        (lambda r: 10**12 + r**10, 10, 17, ">=7"),
+        (window(lambda r: 10**12 + r**10, 10, 17), ">=7", 1),
+        # 16r - 16 from r = 3 on, its first two values off the line
+        (rn_dim_series(2, 12), ">=11", 1),
+        (window(lambda r: comb(r + 6, 6) + r, 1, 8), "inconclusive", 1),
     ],
-    ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r", "10^12+r^10"],
+    ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r", "10^12+r^10", "rn_dim_series(2,12)", "C(r+6,6)+r"],
 )
-def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, fn, lo, hi, degree):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{fn(r)}\n" for r in range(lo, hi + 1))))
-    code, out, err = run(capsys, "growth", "estimate", "-", "--format", "machine")
-    assert (code, err) == (0, "")
-    assert machine_lines(out)[0]["outputs"]["degree"] == degree
+def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, points, degree, code):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{d}\n" for r, d in points)))
+    got, out, err = run(capsys, "growth", "estimate", "-", "--format", "machine")
+    assert (got, err) == (code, "")
+    record = machine_lines(out)[0]
+    assert (record["outputs"]["degree"], record["verdict"]) == (degree, "fail" if code else "pass")
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,10 @@ def series(fn, lo, hi):
     return GrowthSeries([(r, fn(r)) for r in range(lo, hi + 1)])
 
 
+def poly(coeffs, r):
+    return sum(c * r**e for e, c in enumerate(coeffs))
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         GrowthSeries([])
@@ -137,9 +141,7 @@ def test_polynomial_never_reads_a_wrong_degree(coeffs, start, step, k):
     # degree D = len(coeffs) - 1; a window too short to certify D may only
     # bound it from below
     degree = len(coeffs) - 1
-    est = degree_estimate(GrowthSeries(
-        [(r, sum(c * r**e for e, c in enumerate(coeffs))) for r in range(start, start + k * step, step)]
-    ))
+    est = degree_estimate(GrowthSeries([(r, poly(coeffs, r)) for r in range(start, start + k * step, step)]))
     assert est.snapped == degree or (est.unbounded and est.at_least <= degree) or est.inconclusive
     assert est.unbounded == est.label.startswith(">=")
 
@@ -156,6 +158,51 @@ def test_superpolynomial_windows_read_the_bound(base, start, step, k):
     est = degree_estimate(GrowthSeries([(r, (r if base == 1 else base) ** r) for r in rs]))
     assert est.at_least == k - 1 and est.label == f">={k - 1}"
     assert est.unbounded == est.label.startswith(">=")
+
+
+@given(
+    data=st.data(),
+    coeffs=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    prefix=st.integers(1, 2),
+    extra=st.integers(0, 5),
+    start=st.integers(1, 30),
+    step=st.integers(1, 4),
+)
+def test_eventually_polynomial_never_reads_a_wrong_degree(data, coeffs, prefix, extra, start, step):
+    # a tail of at least D + 3 points on a degree-D polynomial after one or
+    # two free values: any degree certified over the whole window is D, and
+    # whatever else it reads is not a degree
+    degree = len(coeffs) - 1
+    k = prefix + max(degree + 3, MIN_POINTS - prefix) + extra
+    rs = list(range(start, start + k * step, step))
+    tail = [poly(coeffs, r) for r in rs[prefix:]]
+    head = sorted(data.draw(st.lists(st.integers(1, tail[0]), min_size=prefix, max_size=prefix)))
+    est = degree_estimate(GrowthSeries(zip(rs, head + tail)))
+    assert est.snapped in (None, degree)
+    assert est.unbounded == est.label.startswith(">=")
+
+
+@given(
+    coeffs=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    extra=st.integers(0, 5),
+    start=st.integers(1, 30),
+    step=st.integers(1, 4),
+    bump=st.integers(1, 10**6),
+    at_end=st.booleans(),
+)
+def test_one_wrong_value_is_never_a_degree(coeffs, extra, start, step, bump, at_end):
+    # a degree-D polynomial over at least D + 3 points with its last value
+    # raised, or its first lowered: no certificate fits it
+    degree = len(coeffs) - 1
+    k = max(degree + 3, MIN_POINTS) + extra
+    rs = list(range(start, start + k * step, step))
+    dims = [poly(coeffs, r) for r in rs]
+    if at_end or dims[0] == 1:
+        dims[-1] += bump
+    else:
+        dims[0] -= 1 + bump % (dims[0] - 1)
+    est = degree_estimate(GrowthSeries(zip(rs, dims)))
+    assert not est.exact
 
 
 def test_label_rendering():
