@@ -24,7 +24,7 @@ _EXPORTS = {
         "rn_dim_series",
     ),
     "growth": ("DegreeEstimate", "GrowthSeries", "LinearFit", "degree_estimate", "slope_extract"),
-    "mqfield": ("MQElem", "PrimeBasis", "first_primes", "is_prime"),
+    "mqfield": ("MQElem", "PrimeBasis", "first_primes"),
     "ordgroup": ("EQ", "GT", "LT", "GroupElem"),
     "parser": ("ParseError", "parse", "to_field", "to_group", "to_quantum", "to_twisted"),
     "qaffine": (
@@ -43,6 +43,7 @@ _EXPORTS = {
         "power_map_images",
     ),
     "reports": ("REPORT_SCHEMA", "Record", "all_passed", "emit"),
+    "ringops": ("is_prime",),
     "twistring": ("TwistedElem",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,8 +3,14 @@
 The records are untimed; the stream that yields them is stamped by
 `reports.timed`."""
 
-from .growth import GrowthSeries, degree_estimate, slope_extract
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 from .reports import Record, record as _mk
+
+if TYPE_CHECKING:
+    from .growth import GrowthSeries
 
 
 # degree estimates are taken over one generating subspace (1 plus the
@@ -19,6 +25,8 @@ _SUBSPACE_NOTE = (
 def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: int):
     """(estimate, record): the record claiming that `series` grows with
     degree `expected`."""
+    from .growth import degree_estimate  # imported here: `hom_claim` never estimates
+
     est = degree_estimate(series)
     return est, _mk(
         claim_id,
@@ -35,6 +43,8 @@ def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: in
 def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slope: int):
     """(fit, records): the records claiming that `series` is eventually
     slope * r + offset and that its degree is 1, under the two claim ids."""
+    from .growth import slope_extract  # imported here, as in `degree_claim`
+
     fit = slope_extract(series)
     record = _mk(
         ids[0],

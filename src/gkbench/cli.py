@@ -127,7 +127,6 @@ def _cmd_quantum_growth(args):
 
 def _cmd_quantum_hom_check(args):
     from .claims import hom_claim
-    from .parser import parse, to_quantum
     from .qaffine import hom_check, power_map_images
 
     dst = _algebra(args.n, args.p, args.t)
@@ -136,6 +135,8 @@ def _cmd_quantum_hom_check(args):
         raise ValueError("source level must be nonnegative")
     src = _algebra(args.n, args.p, src_t)
     if args.images is not None:
+        from .parser import parse, to_quantum  # imported here: the power map parses nothing
+
         images = [
             to_quantum(parse(piece.strip(), "quantum"), dst)
             for piece in args.images.split(";")

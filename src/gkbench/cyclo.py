@@ -39,8 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .mqfield import is_prime
-from .ringops import charged_power, render_terms, words
+from . import budget
+from .ringops import charged_power, is_prime, render_terms, words
 
 
 # --- the integer kernel ------------------------------------------------------------
@@ -190,6 +190,26 @@ def _lone(nums) -> int:
 _ZERO = Fraction(0)
 
 
+def _check_degree(p: int, t: int) -> None:
+    """Refuse a field whose degree (p-1)*p**(2t-1) exceeds the work budget's
+    cap: every element holds that many coefficients.  A hopeless degree is
+    told from the bit lengths, before p**(2t) is formed.  Charges nothing."""
+    limit = budget.cap()
+    if limit is None or t == 0:
+        return
+    bits = (p.bit_length() - 1) * (2 * t - 1)  # degree >= 2**bits
+    if bits > limit.bit_length():
+        degree = f"at least 2^{bits}"
+    else:
+        degree = (p - 1) * p ** (2 * t - 1)
+        if degree <= limit:
+            return
+    raise budget.WorkBudgetExceeded(
+        f"field degree {degree} exceeds the operation budget {limit} "
+        "(raise WORKBENCH_MAX_OPS to allow more work)"
+    )
+
+
 class CycField:
     """Q(zeta) with zeta a primitive p**(2t)-th root of unity: its (p, t) and
     its chain of levels, not its modulus, so building one takes O(t)."""
@@ -199,10 +219,11 @@ class CycField:
     def __init__(self, p: int, t: int):
         p = int(p)
         t = int(t)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if t < 0:
             raise ValueError("tower level must be nonnegative")
+        _check_degree(p, t)  # first: a p past the budget is never trial-divided
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.t = t
         self.m = p ** (2 * t)

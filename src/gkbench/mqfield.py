@@ -48,23 +48,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, attrgetter, mul
 
-from .ringops import TermSum, charged_power, render_terms, words
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (basis primes are small)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .ringops import TermSum, charged_power, is_prime, render_terms, words
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -31,10 +31,9 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .ordgroup import GroupElem
-
 if TYPE_CHECKING:  # annotations only: a context loads its value types itself
     from .mqfield import MQElem, PrimeBasis
+    from .ordgroup import GroupElem
     from .qaffine import QAlgebra, QPoly
     from .twistring import TwistedElem
 
@@ -82,6 +81,12 @@ class Sum(NamedTuple):
 # --- contexts -------------------------------------------------------------------
 
 
+def _group():
+    from .ordgroup import GroupElem  # loaded only when the group or twisted context runs
+
+    return GroupElem
+
+
 def _twisted():
     from .twistring import TwistedElem  # loaded only when the twisted context runs
 
@@ -96,13 +101,13 @@ _LEAVES = {
         "radical": lambda n, basis: basis.radical(n.index),
     },
     "group": {
-        "xgen": lambda n, _: GroupElem.generator(n.index),
-        "identity": lambda n, _: GroupElem.identity(),
+        "xgen": lambda n, _: _group().generator(n.index),
+        "identity": lambda n, _: _group().identity(),
     },
     "twisted": {
         "lit": lambda n, basis: _twisted().from_scalar(basis.rational(n.value)),
         "radical": lambda n, basis: _twisted().from_scalar(basis.radical(n.index)),
-        "xgen": lambda n, basis: _twisted().from_group(basis, GroupElem.generator(n.index)),
+        "xgen": lambda n, basis: _twisted().from_group(basis, _group().generator(n.index)),
         "identity": lambda n, basis: _twisted().one(basis),
     },
     "quantum": {

@@ -1,4 +1,5 @@
-"""Helpers shared by the element types of every ring in the workbench, and
+"""Helpers shared by the element types of every ring in the workbench (the
+primality test of both field types, powers, rendering), and
 `TermSum`, the one sparse-sum core under `MQElem`, `TwistedElem` and `QPoly`.
 
 A `TermSum` is a finite sum  sum a_k * k  kept as a canonical map `terms`
@@ -9,6 +10,23 @@ inverse, and its rendering.
 """
 
 from __future__ import annotations
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test (basis primes are small,
+    and a cyclotomic prime is tested once its field fits the work budget)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def power(base, exponent: int, one):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -80,6 +81,31 @@ def test_powers_are_charged_to_the_budget(argv, cap):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "budget exhausted" in lines[0], proc.stderr
+
+
+# Fields of degree 2^79, about 10^12, at least 2^(2*10^9) and about 10^36:
+# refused from the degree before an element or p**(2t) is built, and before
+# the prime 10^18 + 3 is trial-divided.
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--t", "40"),
+        ("--p", "1000003", "--t", "1"),
+        ("--t", "1000000000"),
+        ("--p", "1000000000000000003", "--t", "1"),
+    ],
+)
+def test_a_field_past_the_budget_exits_2_promptly(options):
+    start = time.perf_counter()
+    proc = _cli("quantum", "nf", "--n", "2", *options, "x1",
+                WORKBENCH_MAX_OPS=str(budget.DEFAULT_CAP))
+    # about 0.2 s; forming p**(2t) at t = 10^9 or trial-dividing 10^18 + 3 takes minutes
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: field degree "), proc.stderr
+    assert "exceeds the operation budget 100000000" in lines[0]
 
 
 def test_inverse_of_twisted_zero_exits_2_with_one_line():
@@ -194,12 +220,16 @@ _REQUESTS = [
     (("gamma", "coeff", "--power", "4", "x1^-2*x2^-2"), {"growth", "cyclo", "qaffine", "mqfield"}),
     (("gamma", "witness", "--degree", "3"), {"parser", "growth", "cyclo", "qaffine", "mqfield"}),
     (("gamma", "growth", "--n", "1"), {"parser", "cyclo", "qaffine", "mqfield"}),
-    (("eval", "--context", "field", "s1 + 1/2"), {"cyclo", "qaffine", "twistring"}),
+    (("eval", "--context", "field", "s1 + 1/2"), {"cyclo", "qaffine", "twistring", "ordgroup"}),
     (("eval", "--context", "twisted", "x1*s1"), {"cyclo", "qaffine"}),
-    (("eval", "--context", "quantum", "x2*x1"), {"twistring"}),
-    (("quantum", "nf", "--n", "2", "x2*x1"), {"twistring"}),
-    (("quantum", "growth", "--n", "2", "--rmax", "8"), {"parser", "twistring"}),
-    (("quantum", "hom-check", "--n", "2"), {"twistring"}),
+    (("eval", "--context", "quantum", "x2*x1"), {"twistring", "mqfield", "ordgroup"}),
+    (("quantum", "nf", "--n", "2", "x2*x1"), {"twistring", "mqfield", "ordgroup"}),
+    (("quantum", "mul", "--n", "2", "x2", "x1"), {"twistring", "mqfield", "ordgroup"}),
+    (("quantum", "growth", "--n", "2", "--rmax", "8"), {"parser", "twistring", "mqfield"}),
+    (("quantum", "hom-check", "--n", "2"),
+     {"twistring", "mqfield", "growth", "parser", "ordgroup"}),
+    (("quantum", "hom-check", "--n", "2", "--images", "x1^2;x2^2"),
+     {"twistring", "mqfield", "growth", "ordgroup"}),
     (("verify", "step4", "--n", "2"), set()),
 ]
 

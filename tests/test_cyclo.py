@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkbench import budget
 from gkbench.campaigns import run_campaign
 from gkbench.cyclo import CycElem, CycField, tower_check
 from polydiv import cyclotomic, poly_divmod
@@ -29,6 +30,25 @@ def test_rejects_bad_parameters():
         CycField(4, 1)
     with pytest.raises(ValueError):
         CycField(2, -1)
+
+
+def test_a_field_past_the_budget_is_refused_without_a_charge():
+    saved = budget.cap()
+    budget.set_cap(8)
+    try:
+        used = budget.used()
+        assert CycField(2, 2).degree == 8  # at the cap: built
+        with pytest.raises(budget.WorkBudgetExceeded, match="field degree 20 exceeds .* 8 "):
+            CycField(5, 1)
+        # past the cap's bit length the degree is bounded, never formed
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"degree at least 2\^5 exceeds .* 8 "):
+            CycField(2, 3)
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"at least 2\^1999999999 .* 8 "):
+            CycField(2, 10**9)
+        assert CycField(5, 0).degree == 1
+        assert budget.used() == used
+    finally:
+        budget.set_cap(saved)
 
 
 def test_zeta_squared_is_minus_one():

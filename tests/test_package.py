@@ -12,6 +12,7 @@ import pytest
 import gkbench
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def test_every_public_name_resolves_to_its_submodule():
@@ -48,6 +49,35 @@ def test_import_loads_submodules_on_use():
     first, second = proc.stdout.splitlines()
     assert first == "[]"
     assert "gkbench.cyclo" in second and "gkbench.campaigns" not in second
+
+
+# Builds values in a fresh interpreter and prints the gkbench submodules it
+# loaded; the quantum values are the benchmark's own set-up.
+_BUILD_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import gkbench, values
+{build}
+print(*sorted(m for m in sys.modules if m.startswith("gkbench.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "build, loaded",
+    [
+        ("values.build_quantum(gkbench)", {"budget", "cyclo", "qaffine", "ringops"}),
+        ("gkbench.PrimeBasis.first(4)", {"mqfield", "ringops"}),
+        ("assert gkbench.is_prime(7)", {"ringops"}),
+    ],
+)
+def test_each_value_loads_only_its_modules(build, loaded):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD_PROBE.format(build=build), str(PERFBENCH)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {f"gkbench.{name}" for name in loaded}
 
 
 def test_names_follow_rebinding_in_the_submodule(monkeypatch):
