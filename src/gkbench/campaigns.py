@@ -325,8 +325,6 @@ def _campaign_tower(rng):
         yield _mk(f"tower.compat.p{p:02d}.t{t:02d}", {"p": p, "t": t}, {"compatible": ok}, ok)
     for p, t in _PRIMITIVITY_GRID:
         m = p ** (2 * t)
-        if m > 128:
-            continue
         order = CycField(p, t).zeta.order()
         yield _mk(
             f"tower.primitivity.p{p:02d}.t{t:02d}",

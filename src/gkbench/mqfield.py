@@ -45,16 +45,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul
 
+from . import budget
 from .ringops import TermSum, charged_power, is_prime, render_terms, words
 
 
 def first_primes(count: int) -> tuple[int, ...]:
+    """The first `count` primes, by trial division.  Each candidate c is
+    charged its trial-division bound, isqrt(c)//2 + 1 ops, before it is
+    tested, so a basis past the work budget is refused, not ground out."""
     out = []
     candidate = 2
     while len(out) < count:
+        budget.charge(isqrt(candidate) // 2 + 1)
         if is_prime(candidate):
             out.append(candidate)
         candidate += 1
@@ -240,14 +245,10 @@ class MQElem(TermSum):
 
     # --- predicates ------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        """True iff only the mask-0 (rational) component is present."""
-        return not any(self.terms)
-
     def fixed_by_all(self) -> bool:
         """True iff every automorphism f_i fixes the element, i.e. iff it is
-        rational."""
-        return self.is_rational()
+        rational: only the mask-0 component is present."""
+        return not any(self.terms)
 
     # --- ring operations --------------------------------------------------
 

@@ -6,17 +6,34 @@ entry read as exponent zero.  The squares subgroup (every exponent even) and
 the sign twist an element induces on the radical generators of an MQElem
 live here too: x acts on sqrt(p_i) by the sign (-1)**exponent_i, which makes
 the action of the squares subgroup trivial.  The mask of the odd exponents
-is kept; a product's is the XOR of its factors' masks.
+is kept; a product's is the XOR of its factors' masks, and the squares test
+reads it.  The mask spends a bit on every index up to the largest odd one,
+so an odd exponent at an index whose mask outgrows the work budget's cap is
+refused.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import budget
+
 if TYPE_CHECKING:
     from .mqfield import MQElem
 
 LT, EQ, GT = -1, 0, 1
+
+
+def _check_index(i: int) -> None:
+    """Refuse an odd exponent at index i when the odd-exponent mask, i bits,
+    holds more 64-bit words (the unit powers are charged in) than the work
+    budget's cap.  Reads the cap and charges nothing."""
+    limit = budget.cap()
+    if limit is not None and i // 64 + 1 > limit:
+        raise budget.WorkBudgetExceeded(
+            f"group index {i} with an odd exponent: its mask of {i // 64 + 1} words "
+            f"exceeds the operation budget {limit} (raise WORKBENCH_MAX_OPS to allow more work)"
+        )
 
 
 class GroupElem:
@@ -35,7 +52,13 @@ class GroupElem:
             if e:
                 clean[i] = e
         self.exps = clean
-        self._odd = sum(1 << (i - 1) for i, e in clean.items() if e & 1)
+        odd = 0
+        for i, e in clean.items():
+            if e & 1:
+                if i >= 64:  # the mask outgrows one word: checked before it is built
+                    _check_index(i)
+                odd |= 1 << (i - 1)
+        self._odd = odd
         self._hash = hash(tuple(sorted(clean.items())))
 
     @classmethod
@@ -117,8 +140,9 @@ class GroupElem:
     # --- squares subgroup and the twist ------------------------------------
 
     def in_squares(self) -> bool:
-        """True iff the element is a square, i.e. every exponent is even."""
-        return all(e % 2 == 0 for e in self.exps.values())
+        """True iff the element is a square, i.e. every exponent is even: its
+        odd-exponent mask is empty."""
+        return not self._odd
 
     def check_within(self, n: int):
         """Raise IndexError unless every index of the support is at most n."""

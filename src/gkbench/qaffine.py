@@ -312,17 +312,16 @@ def gk_profile(algebra: QAlgebra, r_max: int) -> list[tuple[int, int]]:
 
 
 def power_is_central(algebra: QAlgebra, i: int, k: int) -> bool:
-    """Whether x_i**k commutes with every generator."""
+    """Whether x_i**k commutes with every generator x_j, read from the
+    product law: x^e x^f and x^f x^e are q**-crossings times x^(e+f), so they
+    agree iff their crossing counts agree mod the root order m."""
     if not 1 <= i <= algebra.n:
         raise IndexError(f"generator index {i} outside 1..{algebra.n}")
     if k < 0:
         raise ValueError("power must be nonnegative")
-    xk = algebra.generator(i, k)
-    for j in range(1, algebra.n + 1):
-        xj = algebra.generator(j)
-        if xj * xk != xk * xj:
-            return False
-    return True
+    units = [(0,) * j + (1,) + (0,) * (algebra.n - 1 - j) for j in range(algebra.n)]
+    e = tuple(k * u for u in units[i - 1])
+    return all((_crossings(e, f) - _crossings(f, e)) % algebra.field.m == 0 for f in units)
 
 
 def central_power_check(algebra: QAlgebra, i: int) -> bool:

@@ -108,6 +108,34 @@ def test_a_field_past_the_budget_exits_2_promptly(options):
     assert "exceeds the operation budget 100000000" in lines[0]
 
 
+# A basis of 200000 primes, or one sized from the index 10^20, is refused
+# once its trial division, charged per candidate, passes the default cap
+# (about 1 s); an odd exponent at that index is refused before its
+# odd-exponent mask, a bit per index, is built.
+_EXHAUSTED = "error: operation budget exhausted: "
+_ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its mask of "
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eval", "--context", "field", "--primes", "200000", "1"), _EXHAUSTED),
+        (("eval", "--context", "twisted", "x99999999999999999999"), _EXHAUSTED),
+        (("eval", "--context", "group", "x99999999999999999999"), _ODD_INDEX),
+        (("gamma", "coeff", "--power", "1", "x99999999999999999999^-1"), _ODD_INDEX),
+    ],
+)
+def test_work_sized_by_a_huge_count_or_index_exits_2_promptly(argv, message):
+    start = time.perf_counter()
+    proc = _cli(*argv, WORKBENCH_MAX_OPS=str(budget.DEFAULT_CAP))
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+    assert "100000000" in lines[0]
+
+
 def test_inverse_of_twisted_zero_exits_2_with_one_line():
     proc = _cli("eval", "--context", "twisted", "--primes", "2", "(x1 - x1)^-1")
     assert proc.returncode == 2

@@ -203,11 +203,6 @@ def test_f_is_involution(a, i):
     assert a.apply_f(i).apply_f(i) == a
 
 
-@given(mq_st)
-def test_fixed_by_all_iff_rational(a):
-    assert a.fixed_by_all() == a.is_rational()
-
-
 @given(mq_st, mq_st, mq_st)
 def test_field_axioms_spot_checks(a, b, c):
     assert a * (b + c) == a * b + a * c

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gkbench import budget
 from gkbench.mqfield import PrimeBasis
 from gkbench.ordgroup import EQ, GT, LT, GroupElem
 from gkbench.sampling import random_group, random_mq
@@ -106,6 +107,28 @@ def test_order_is_translation_invariant(x, y, z):
 @given(group_st, group_st)
 def test_squares_subgroup_closed(x, y):
     assert ((x * x) * (y * y).inv()).in_squares()
+
+
+@given(group_st, group_st, st.integers(min_value=-5, max_value=5))
+def test_in_squares_reads_the_odd_mask_of_products_inverses_and_powers(x, y, k):
+    # the squares test reads the mask each operation keeps; it must agree
+    # with the exponents themselves
+    for g in (x * y, x.inv(), y * x.inv(), x**k, (x * y) ** k):
+        assert g.in_squares() == all(e % 2 == 0 for e in g.exps.values())
+
+
+def test_an_odd_exponent_past_the_budget_is_refused_without_charging():
+    # the odd-exponent mask holds a bit per index up to the largest odd one:
+    # at index 64 two 64-bit words, past a cap of 1
+    saved = budget.cap()
+    budget.set_cap(1)
+    try:
+        with pytest.raises(budget.WorkBudgetExceeded, match="group index 64 with an odd"):
+            GroupElem({64: -1})
+        assert GroupElem({63: 1, 10**20: 2}).exps == {63: 1, 10**20: 2}
+        assert budget.used() == 0
+    finally:
+        budget.set_cap(saved)
 
 
 def test_squares_act_trivially():

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from gkbench import budget
-from gkbench.campaigns import run_campaign
+from gkbench.campaigns import _CENTRALITY_GRID, run_campaign
 from gkbench.cyclo import CycField
 from gkbench.qaffine import (
     FreeWord,
@@ -161,6 +161,33 @@ def test_central_powers_across_configurations():
         for k in (1, p, order - 1):
             if 0 < k < order:
                 assert not power_is_central(alg, 1, k)
+
+
+def _central_by_products(alg, i, k):
+    """The product sweep: x_j * x_i**k == x_i**k * x_j for every generator."""
+    xk = alg.generator(i, k)
+    return all(alg.generator(j) * xk == xk * alg.generator(j) for j in range(1, alg.n + 1))
+
+
+@pytest.mark.parametrize("p, t", _CENTRALITY_GRID)
+def test_power_is_central_matches_the_product_sweep(p, t):
+    field = CycField(p, t)
+    for n in range(1, 5):
+        alg = QAlgebra(n, field)
+        for i in range(1, n + 1):
+            for k in range(2 * field.m):
+                assert power_is_central(alg, i, k) == _central_by_products(alg, i, k), (n, i, k)
+
+
+def test_centrality_campaign_makes_no_qpoly_product(monkeypatch):
+    calls = []
+    real = QPoly.__mul__
+    monkeypatch.setattr(QPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert _central_by_products(ALG, 1, 2) is False and calls  # the spy sees products
+    calls.clear()
+    records = run_campaign("centrality")
+    assert len(records) == 12 and all(r.verdict == "pass" for r in records)
+    assert calls == []
 
 
 def test_hom_check_power_maps():
