@@ -97,6 +97,12 @@ def _three_products(a: dict, b: dict, k: int, primes) -> dict:
     return _fold(list(map(mul, _expand(a, k), _expand(b, k))), primes[:k])
 
 
+def _flipped(terms: dict, mask: int) -> dict:
+    """{mask: numerator} terms with sqrt(p_i) negated for every index i whose
+    bit is set in mask: a term changes sign when it has an odd number of them."""
+    return {s: -c if (s & mask).bit_count() & 1 else c for s, c in terms.items()}
+
+
 class _PrimeProducts(dict):
     """{mask: product of the primes whose bits are set}, filled on first use."""
 
@@ -355,7 +361,7 @@ class MQElem(TermSum):
         # sign changes keep the form canonical, so no zero or gcd pass
         elem = object.__new__(MQElem)
         elem.parent, elem.den = self.parent, self.den
-        elem.terms = {s: -c if (s & mask).bit_count() & 1 else c for s, c in self.terms.items()}
+        elem.terms = _flipped(self.terms, mask)
         return elem
 
     # --- rendering ----------------------------------------------------------

@@ -56,7 +56,9 @@ def random_group(rng, max_index: int = 4, max_exp: int = 3, max_support: int = 3
 
 
 def random_square_group(rng, max_index: int = 4, max_exp: int = 2) -> GroupElem:
-    return random_group(rng, max_index, max_exp) ** 2
+    """The square of a random_group draw: doubled exponents, no odd one."""
+    g = random_group(rng, max_index, max_exp)
+    return GroupElem._make({i: 2 * e for i, e in g.exps.items()}, 0)
 
 
 def random_twisted(
@@ -78,8 +80,11 @@ def random_central_twisted(rng, basis: PrimeBasis, max_terms: int = 3, max_index
     """Support inside the squares subgroup, rational coefficients."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[random_square_group(rng, max_index)] = basis.rational(random_fraction(rng))
-    return TwistedElem(basis, terms)
+        a, b = _ratio(rng)  # a random_fraction draw, brought to lowest terms by _make
+        g = random_square_group(rng, max_index)
+        g.check_within(len(basis))
+        terms[g] = MQElem._make(basis, {0: a}, b)
+    return TwistedElem._make(basis, terms)
 
 
 def random_word(rng, algebra: QAlgebra, max_len: int = 8) -> FreeWord:

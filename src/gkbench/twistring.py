@@ -16,6 +16,12 @@ Only finite supports are represented here; everything the package verifies
 about the construction reduces to finite data.  Centrality can be decided
 two ways: structurally (support made of squares, rational coefficients) or
 by commutation against the generators up to a caller-supplied index bound.
+The commutation sweep reads each probe's bracket term by term: a one-term
+probe d*g sends distinct terms c*x to distinct xg, so each coefficient
+c * twist_x(d) - d * twist_g(c) is accumulated over c's own denominator by
+the same term-pair law, and the sweep stops at the first nonzero one.  It
+builds no probe, rescaled coefficient or bracket, and charges the budget
+exactly what the 2m commutators it stands for charge.
 
 An element is a `ringops.TermSum` over its `PrimeBasis`, keyed by group
 elements, so the sum, negation, equality and hashing are the ones `MQElem`
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .mqfield import MQElem, PrimeBasis
+from .mqfield import MQElem, PrimeBasis, _flipped
 from .ordgroup import GroupElem
 from .ringops import TermSum, charged_power, render_terms
 from . import budget
@@ -125,6 +131,13 @@ class TwistedElem(TermSum):
         m must bound every index appearing in the element (support or
         coefficients) and the basis must have at least m primes, otherwise
         the generator sweep would miss a direction.
+
+        Each probe d*g, sqrt(p_i) at e and then 1 at x_i, is read term by
+        term: the bracket's coefficient at xg is c * twist_x(d) - d *
+        twist_g(c), accumulated over c's own denominator, and the sweep
+        stops at the first nonzero one.  Each probe is charged as the two
+        products of its commutator, before it is read, so the budget runs
+        out where 2m commutator calls would.
         """
         top = self.max_index()
         if m < top:
@@ -136,12 +149,20 @@ class TwistedElem(TermSum):
             raise ValueError(
                 f"basis has {len(basis)} primes, fewer than the bound m={m}"
             )
-        e, one, make = GroupElem.identity(), basis.one(), TwistedElem._make
+        pp, size = basis.pp, len(self.terms)
+        terms = [(x._odd, c.terms) for x, c in self.terms.items()]
         for i in range(1, m + 1):
-            radical = make(basis, {e: basis.radical(i)})
-            gen = make(basis, {GroupElem.generator(i): one})
-            if self.commutator(radical) or self.commutator(gen):
-                return False
+            bit = 1 << (i - 1)
+            # (odd-exponent mask of g, numerators of d) for each probe
+            for g, d in ((0, {bit: 1}), (bit, {0: 1})):
+                budget.charge(size)
+                budget.charge(size)
+                for x, c in terms:
+                    acc = {}
+                    _accumulate(acc, c.items(), (_flipped(d, x) if x else d).items(), pp)
+                    _accumulate(acc, d.items(), (_flipped(c, g) if g else c).items(), pp, True)
+                    if any(acc.values()):
+                        return False
         return True
 
     # --- rendering ----------------------------------------------------------------
@@ -168,6 +189,19 @@ def _common(terms: dict):
     return den, scaled
 
 
+def _accumulate(acc: dict, left, right, pp, negate: bool = False) -> None:
+    """Add u * v * pp[s & t] into acc[s ^ t], or subtract it if `negate`, for
+    every term u*sqrt(p_s) of `left` and v*sqrt(p_t) of `right`, both given as
+    (mask, numerator) pairs: the numerators of their product."""
+    get = acc.get
+    for t, v in right:
+        if negate:
+            v = -v
+        for s, u in left:
+            k = s ^ t
+            acc[k] = get(k, 0) + u * v * pp[s & t]
+
+
 def _convolve(a: TwistedElem, b: TwistedElem, commute: bool = False) -> TwistedElem:
     """a*b, or a*b - b*a if `commute` (see the module docstring), charged
     one op per term pair of each product."""
@@ -189,16 +223,9 @@ def _convolve(a: TwistedElem, b: TwistedElem, commute: bool = False) -> TwistedE
             acc = out.get(z)
             if acc is None:
                 acc = out[z] = {}
-            get = acc.get
-            for t, v in (x.twist(d) if x._odd else d).terms.items():
-                for s, u in cs:
-                    k = s ^ t
-                    acc[k] = get(k, 0) + u * v * pp[s & t]
+            _accumulate(acc, cs, (x.twist(d) if x._odd else d).terms.items(), pp)
             if commute:
-                for t, v in (y.twist(c) if y._odd else c).terms.items():
-                    for s, u in d.terms.items():
-                        k = s ^ t
-                        acc[k] = get(k, 0) - u * v * pp[s & t]
+                _accumulate(acc, d.terms.items(), (y.twist(c) if y._odd else c).terms.items(), pp, True)
     den = da * db
     return TwistedElem._make(
         parent, {z: make(parent, acc, den) for z, acc in out.items() if any(acc.values())}

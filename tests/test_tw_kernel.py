@@ -7,12 +7,15 @@ results in lowest terms.  The one-pass commutator gets its own cases:
 supports mixing square and odd group elements on both sides (only odd ones
 twist), a bracket that cancels at one output group element and not at
 another, and central elements against every probe of the commutation
-sweep."""
+sweep.  The sweep itself, which reads each probe's bracket term by term, is
+checked against the 2m whole commutators of tworacle.tw_sweep_oracle: the
+verdict, the budget charges and where a small cap runs out."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +24,7 @@ from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
 from gkbench.sampling import random_central_twisted
 from gkbench.twistring import TwistedElem
-from tworacle import tw_commutator, tw_mul
+from tworacle import tw_commutator, tw_mul, tw_sweep_oracle
 
 BASES = {n: PrimeBasis.first(n) for n in range(1, 7)}
 # a few small coprime denominators beside arbitrary ones up to 2**40; each
@@ -188,11 +191,14 @@ def test_a_commutator_can_cancel_at_one_group_element_and_not_another():
 
 def test_central_elements_commute_with_every_sweep_probe(monkeypatch):
     """Each probe the commutation sweep uses, sqrt(p_i) at e and x_i, gives
-    TwistedElem.zero; over one common denominator no MQElem is built."""
+    TwistedElem.zero; over one common denominator no MQElem is built.  The
+    sweep builds no MQElem at all, so its count cannot grow with the
+    element's terms or its mix of denominators."""
     rng = random.Random(18)
     built = []
     make = MQElem._make.__func__
     monkeypatch.setattr(MQElem, "_make", classmethod(lambda cls, *args: built.append(args) or make(cls, *args)))
+    mixed = 0
     for n, basis in BASES.items():
         e, one = GroupElem.identity(), basis.one()
         probes = [TwistedElem(basis, {e: basis.radical(i)}) for i in range(1, n + 1)]
@@ -200,9 +206,67 @@ def test_central_elements_commute_with_every_sweep_probe(monkeypatch):
         for _ in range(20):
             central = random_central_twisted(rng, basis, max_terms=4, max_index=n)
             common = len({c.den for c in central.terms.values()}) <= 1
+            mixed += not common
+            built.clear()
+            assert central.is_central_by_commutation(n)
+            assert built == []
             for probe in probes:
                 for left, right in ((central, probe), (probe, central)):
                     built.clear()
                     left.commutator(right)
                     assert not (common and built)
                     assert assert_commutator(left, right) == TwistedElem.zero(basis)
+    assert mixed  # some sweeps above read coefficients over different denominators
+
+
+@st.composite
+def sweep_cases(draw):
+    """(element, m, central or None): a support of squares with rational
+    coefficients over the pool denominators, central; the same with one term
+    broken by an odd exponent or a radical in its coefficient, not central;
+    or any operand (zero, one, one term, a sum), verdict unknown.  m runs
+    from the element's largest index to the basis size."""
+    n = draw(st.integers(1, 6))
+    basis = BASES[n]
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("central", "broken", "operand")))
+    if kind == "operand":
+        elem, central = draw(operands(basis, dens)), None
+    else:
+        squares = group_elements(n).map(lambda g: GroupElem({i: 2 * e for i, e in g.exps.items()}))
+        rationals = st.builds(Fraction, st.integers(-2**40, 2**40).filter(bool), st.sampled_from(dens))
+        terms = draw(st.dictionaries(squares, rationals.map(basis.rational), min_size=kind == "broken", max_size=4))
+        central = kind == "central"
+        if not central:
+            g = draw(st.sampled_from(sorted(terms)))
+            if draw(st.booleans()):
+                odd = GroupElem.generator(draw(st.integers(1, n)), draw(st.sampled_from((-3, -1, 1, 3))))
+                terms[g * odd] = terms.pop(g)
+            else:
+                terms[g] += draw(coefficients(basis, dens))
+                central = None if terms[g].fixed_by_all() else False
+        elem = TwistedElem(basis, terms)
+    return elem, draw(st.integers(elem.max_index(), n)), central
+
+
+@given(sweep_cases(), st.data())
+def test_sweep_matches_the_oracle(case, data):
+    elem, m, central = case
+    verdict, ops = charged(TwistedElem.is_central_by_commutation, elem, m)
+    assert (verdict, ops) == charged(tw_sweep_oracle, elem, m)
+    assert central is None or verdict == central
+    if not ops:
+        return
+    # a cap below what the sweep charges runs out at the same charge in both
+    cap = data.draw(st.integers(0, ops - 1))
+    saved = budget.cap()
+    try:
+        messages = []
+        for sweep in (TwistedElem.is_central_by_commutation, tw_sweep_oracle):
+            budget.set_cap(cap)
+            with pytest.raises(budget.WorkBudgetExceeded) as exc:
+                sweep(elem, m)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    finally:
+        budget.set_cap(saved)

@@ -1,7 +1,10 @@
 """The twisted product and commutator written the direct way: one `MQElem`
 product and one sum per term pair, and the commutator as two such products
 and a difference.  It is the reference that the one-accumulation kernel of
-`TwistedElem` is tested against; every result drops its zero terms."""
+`TwistedElem` is tested against; every result drops its zero terms.  The
+commutation sweep is written the direct way too: 2m whole commutators with
+one-term probes, the reference for `TwistedElem.is_central_by_commutation`,
+which reads each probe's bracket term by term."""
 
 from gkbench import budget
 from gkbench.ordgroup import GroupElem
@@ -26,3 +29,16 @@ def tw_mul(a: TwistedElem, b: TwistedElem) -> TwistedElem:
 def tw_commutator(a: TwistedElem, b: TwistedElem) -> TwistedElem:
     """a*b - b*a, charged as the two products."""
     return tw_mul(a, b) - tw_mul(b, a)
+
+
+def tw_sweep_oracle(a: TwistedElem, m: int) -> bool:
+    """Centrality of `a` by commutation: for i = 1..m, the commutator with the
+    probe sqrt(p_i) at e and then with the probe x_i, each built as a
+    TwistedElem and charged as its two products; False at the first nonzero
+    bracket."""
+    basis, e = a.parent, GroupElem.identity()
+    for i in range(1, m + 1):
+        for probe in (TwistedElem(basis, {e: basis.radical(i)}), TwistedElem.from_group(basis, GroupElem.generator(i))):
+            if tw_commutator(a, probe):
+                return False
+    return True
