@@ -23,7 +23,7 @@ _EXPORTS = {
         "rn_dim",
         "rn_dim_series",
     ),
-    "growth": ("DegreeEstimate", "GrowthSeries", "LinearFit", "degree_estimate", "slope_extract"),
+    "growth": ("DegreeEstimate", "GrowthSeries", "certified_line", "degree_estimate"),
     "mqfield": ("MQElem", "PrimeBasis", "first_primes"),
     "ordgroup": ("EQ", "GT", "LT", "GroupElem"),
     "parser": ("ParseError", "parse", "to_field", "to_group", "to_quantum", "to_twisted"),

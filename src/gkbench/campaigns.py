@@ -117,7 +117,7 @@ def _campaign_step4_oracle(rng, queries=500, n=6):
 def _campaign_step8(rng, n=2, rmax=None):
     r_lo, rmax = rn_window(n, rmax)
     series = GrowthSeries(rn_dim_series(n, rmax, r_lo))
-    fit, records = affine_claims(
+    line, records = affine_claims(
         (f"step8.slope.n{n:02d}", f"step8.degree.n{n:02d}"),
         {"pairs": n, "r": f"{r_lo}..{rmax}"},
         series,
@@ -133,7 +133,7 @@ def _campaign_step8(rng, n=2, rmax=None):
         f"step8.basis_size.n{n:02d}",
         {"pairs": n},
         {"size": size},
-        size == 4**n and listed == size and (fit is None or fit.slope == size),
+        size == 4**n and listed == size and (line is None or line[0] == size),
     )
 
 

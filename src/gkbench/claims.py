@@ -41,22 +41,21 @@ def degree_claim(claim_id: str, inputs: dict, series: GrowthSeries, expected: in
 
 
 def affine_claims(ids: tuple[str, str], inputs: dict, series: GrowthSeries, slope: int):
-    """(fit, records): the records claiming that `series` is eventually
-    slope * r + offset and that its degree is 1, under the two claim ids."""
-    from .growth import slope_extract  # imported here, as in `degree_claim`
+    """(line, records): the records claiming that `series` is eventually
+    slope * r + offset and that its degree is 1, under the two claim ids;
+    the line is the one the degree's certificate reads."""
+    from .growth import certified_line  # imported here, as in `degree_claim`
 
-    fit = slope_extract(series)
-    record = _mk(
-        ids[0],
-        inputs,
-        {
-            "slope": fit.slope if fit else "nonlinear",
-            "offset": fit.offset if fit else None,
-            "expected_slope": slope,
-        },
-        fit is not None and fit.slope == slope,
-    )
-    return fit, [record, degree_claim(ids[1], inputs, series, 1)[1]]
+    est, degree_record = degree_claim(ids[1], inputs, series, 1)
+    line = certified_line(series, est)
+    outputs = {**line_outputs(line), "expected_slope": slope}
+    return line, [_mk(ids[0], inputs, outputs, outputs["slope"] == slope), degree_record]
+
+
+def line_outputs(line) -> dict:
+    """The slope and offset of a `growth.certified_line`, or "nonlinear"."""
+    slope, offset = line or ("nonlinear", None)
+    return {"slope": slope, "offset": offset}
 
 
 def hom_claim(claim_id: str, inputs: dict, report, breaks=None) -> Record:

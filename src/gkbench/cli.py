@@ -153,7 +153,8 @@ def _cmd_quantum_hom_check(args):
 
 
 def _cmd_growth_estimate(args):
-    from .growth import GrowthSeries, degree_estimate, slope_extract
+    from .claims import line_outputs
+    from .growth import GrowthSeries, certified_line, degree_estimate
 
     if args.series == "-":
         series = GrowthSeries.from_text(sys.stdin.read())
@@ -163,23 +164,12 @@ def _cmd_growth_estimate(args):
     yield record(
         "growth.degree",
         {"series": args.series, "points": len(series)},
-        {
-            "degree": est.label,
-            "exact": est.exact,
-        },
+        {"degree": est.label, "exact": est.exact, "from_r": est.start},
         est.exact,
     )
-    if len(series) >= 4 and series.consecutive:
-        fit = slope_extract(series)
-        yield record(
-            "growth.slope",
-            {"series": args.series},
-            {
-                "slope": fit.slope if fit else "nonlinear",
-                "offset": fit.offset if fit else None,
-            },
-            True,
-        )
+    if series.consecutive:
+        line = certified_line(series, est)
+        yield record("growth.slope", {"series": args.series}, line_outputs(line), True)
 
 
 # The options each `eval` context reads; any other one given is bad input.

@@ -4,22 +4,26 @@ Every sequence produced inside this package is eventually an exact integer
 polynomial in r (affine for the gamma model, binomial for the quantum
 affine spaces), and the paper's growth degrees are non-negative integers or
 infinite, so every verdict is an exact statement about the window, reached
-in integer arithmetic.  A degree is certified by finite differences for a
-uniformly spaced polynomial, or by the ratio
-L(r) = r * (d_r - d_{r-1}) / d_{r-1}, equal to one integer D at every step
-exactly when d_r = c * C(r + D, D).  Without a certificate, k uniformly
-spaced points whose (k-1)-th difference is nonzero fit no polynomial of
-degree <= k - 2, and the verdict is the window bound >=k-1; anything else is
-inconclusive.  Only a certified degree is a degree: the window bound holds
-as well for an eventually affine series whose first values are off the
-line (rn_dim_series(2, 12) reads >=11 though it is 16r - 16 from r = 3
-on), so neither it nor inconclusive passes.
+in integer arithmetic.  GK dimension reads eventual growth only, so a
+degree is certified on the longest suffix of the window that carries a
+certificate: a trailing run of equal values in one row of the difference
+table (uniform spacing), or of one integer D in the ratio
+L(r) = r * (d_r - d_{r-1}) / d_{r-1}, which is D at every step exactly when
+d_r = c * C(r + D, D).  The estimate names the first r of that suffix:
+rn_dim_series(2, 12) certifies 1 from r = 3, where it becomes 16r - 16.
+A suffix certificate is still a statement about the window, not a GK
+dimension.  Without a certificate, k uniformly spaced points whose (k-1)-th
+difference is nonzero fit no polynomial of degree <= k - 2, and the verdict
+is the window bound >=k-1; anything else is inconclusive.  Only a certified
+degree passes.
 """
 
 from __future__ import annotations
 
 import sys
 from typing import NamedTuple, Optional
+
+from . import budget
 
 MIN_POINTS = 6
 
@@ -113,29 +117,21 @@ def _prefix(text: str, size: int = 40) -> str:
 class DegreeEstimate(NamedTuple):
     """Outcome of the degree estimator, one of three exact verdicts.
 
-    snapped is the integer degree when a certificate established it;
-    at_least is k - 1 when none did and the (k-1)-th difference of the k
-    uniformly spaced points is nonzero, so that no polynomial of degree at
-    most k - 2 fits the window.  That bound is about the window alone, not
-    the growth past it, so only `exact` passes.  A series with neither is
-    inconclusive.
+    snapped is the integer degree a certificate established, and start the
+    first r of the suffix it holds on; at_least is k - 1 when there is no
+    certificate and the (k-1)-th difference of the k uniformly spaced points
+    is nonzero, so that no polynomial of degree at most k - 2 fits the
+    window.  That bound is about the window alone, not the growth past it,
+    so only `exact` passes.  A series with neither is inconclusive.
     """
 
     snapped: Optional[int]
     at_least: Optional[int]
+    start: Optional[int]
 
     @property
     def exact(self) -> bool:
         return self.snapped is not None
-
-    @property
-    def unbounded(self) -> bool:
-        """The window bound is set: no polynomial of degree <= k - 2 fits."""
-        return self.at_least is not None
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.snapped is None and self.at_least is None
 
     @property
     def label(self) -> str:
@@ -144,39 +140,12 @@ class DegreeEstimate(NamedTuple):
         return "inconclusive" if self.snapped is None else str(self.snapped)
 
 
-class LinearFit(NamedTuple):
-    slope: int
-    offset: int
-
-
-def _differences(series: GrowthSeries) -> tuple[Optional[int], bool]:
-    """(degree, bounded) from the difference table of a uniformly spaced
-    series of k points.  Successive differences of a degree-d polynomial
-    become constant after d steps: degree is certified by the first row of
-    at least three equal values.  bounded says that no row did and that the
-    last row, the (k-1)-th difference, is nonzero.  (None, False) for any
-    other spacing."""
-    if len(series.steps) > 1:
-        return None, False
-    values = [d for _, d in series.points]
-    row = 0
-    while len(values) >= 3:
-        if all(v == values[0] for v in values):
-            return row, False
-        values = [b - a for a, b in zip(values, values[1:])]
-        row += 1
-    return None, values[0] != values[1]
-
-
-def _ratios(series: GrowthSeries) -> list[tuple[int, int]]:
-    """L(r) = r * (d_r - d_{r-1}) / d_{r-1} as (numerator, denominator) at
-    each step of a series at consecutive r; [] for any other spacing.  Since
-    C(r + D, D) / C(r - 1 + D, D) = (r + D) / r, L(r) = D at every step
-    exactly when d_r = c * C(r + D, D)."""
-    if not series.consecutive:
-        return []
-    pts = series.points
-    return [(r * (d1 - d0), d0) for (_, d0), (r, d1) in zip(pts, pts[1:])]
+def _run_start(values: list) -> int:
+    """Index at which the trailing run of values equal to the last starts."""
+    start = len(values) - 1
+    while start and values[start - 1] == values[-1]:
+        start -= 1
+    return start
 
 
 def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
@@ -191,37 +160,61 @@ def check_fit_window(r_min: int, r_max: int, scope: str = "") -> None:
 
 
 def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
-    """Estimate the polynomial degree of r -> dim.
+    """Estimate the eventual polynomial degree of r -> dim.
 
-    Two exact certificates pin an integer degree: finite differences
-    (uniform spacing, differences eventually constant), then the binomial
-    ratio L (consecutive r, L equal to one integer D throughout).  Without
-    one, the verdict is the window bound >=k-1 or inconclusive.
+    One walk reads a certificate for every suffix of the window at once, as
+    row j of a suffix's difference table is the tail of row j of the whole
+    table.  A trailing run of at least three equal values in row j
+    (uniform spacing) certifies degree j from where it starts; a trailing
+    run of one integer D in the binomial ratio L (consecutive r) certifies
+    D.  The verdict is the certificate with the earliest start whose suffix
+    holds at least MIN_POINTS points, the lower degree on a tie; one that
+    starts at the first point ends the walk.  Without one, the verdict is
+    the window bound >=k-1 or inconclusive.  Each row value and ratio step
+    is charged to the work budget before it is formed.
     """
-    if len(series) < MIN_POINTS:
+    k = len(series)
+    if k < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points")
-    certified, bounded = _differences(series)
-    ratios = [] if certified is not None else _ratios(series)
-    degree = ratios[0][0] // ratios[0][1] if ratios else None
-    if ratios and all(n == degree * d for n, d in ratios):
-        return DegreeEstimate(degree, None)
-    return DegreeEstimate(certified, len(series) - 1 if bounded else None)
+    found = []  # (start index, degree) of each certificate
+    bounded = False
+    if len(series.steps) == 1:
+        budget.charge(k)
+        row = [d for _, d in series.points]
+        degree = 0
+        while len(row) >= 3:
+            start = _run_start(row)
+            if len(row) - start >= 3 and k - start >= MIN_POINTS:
+                if start == 0:
+                    return DegreeEstimate(degree, None, series.rs[0])
+                found.append((start, degree))
+            budget.charge(len(row) - 1)
+            row = [b - a for a, b in zip(row, row[1:])]
+            degree += 1
+        bounded = row[0] != row[1]
+    if series.consecutive:
+        # C(r + D, D) / C(r - 1 + D, D) = (r + D) / r, so
+        # L(r) = r * (d_r - d_{r-1}) / d_{r-1} is D at every step of a
+        # suffix exactly when d_r = c * C(r + D, D) there
+        budget.charge(k - 1)
+        pts = series.points
+        ratios = [
+            q if not rem else None
+            for q, rem in (divmod(r * (d1 - d0), d0) for (_, d0), (r, d1) in zip(pts, pts[1:]))
+        ]
+        start = _run_start(ratios)
+        if ratios[-1] is not None and k - start >= MIN_POINTS:
+            found.append((start, ratios[-1]))
+    if found:
+        start, degree = min(found)
+        return DegreeEstimate(degree, None, series.rs[start])
+    return DegreeEstimate(None, k - 1 if bounded else None, None)
 
 
-def slope_extract(series: GrowthSeries) -> Optional[LinearFit]:
-    """Eventual slope and offset of an eventually affine sequence at
-    consecutive r, or None when the first differences never settle."""
-    pts = series.points
-    if len(pts) < 4:
-        raise ValueError("need at least 4 points")
-    if not series.consecutive:
-        raise ValueError("points must sit at consecutive r")
-    diffs = [d1 - d0 for (_, d0), (_, d1) in zip(pts, pts[1:])]
-    run = 1
-    while run < len(diffs) and diffs[-run - 1] == diffs[-1]:
-        run += 1
-    if run < 3:
+def certified_line(series: GrowthSeries, est: DegreeEstimate) -> Optional[tuple[int, int]]:
+    """(slope, offset) of the line through the last two points when `est`
+    certifies degree <= 1 on a series at consecutive r, else None."""
+    if est.snapped is None or est.snapped > 1 or not series.consecutive:
         return None
-    slope = diffs[-1]
-    last_r, last_dim = pts[-1]
-    return LinearFit(slope, last_dim - slope * last_r)
+    (_, d0), (r, d1) = series.points[-2:]
+    return d1 - d0, d1 - (d1 - d0) * r

@@ -16,7 +16,7 @@ from gkbench.gammalab import (
     gamma_coeff_oracle,
     rn_dim_series,
 )
-from gkbench.growth import GrowthSeries, degree_estimate, slope_extract
+from gkbench.growth import GrowthSeries, certified_line, degree_estimate
 from gkbench.ordgroup import GroupElem
 from gkbench.qaffine import QAlgebra, dim_Vr, gk_profile
 from gkbench.reports import all_passed
@@ -64,11 +64,11 @@ def test_criterion_02_affine_slope_and_degree():
     for n in range(5):
         lo = max(1, 2 * n)
         series = GrowthSeries(rn_dim_series(n, 2 * n + 12, lo))
-        fit = slope_extract(series)
-        ok = ok and fit is not None and fit.slope == 4**n
+        est = degree_estimate(series)
+        line = certified_line(series, est)
+        ok = ok and line is not None and line[0] == 4**n
         if n >= 1:
-            est = degree_estimate(series)
-            ok = ok and est.snapped == 1 and not est.unbounded
+            ok = ok and est.snapped == 1 and est.at_least is None
     elapsed = time.perf_counter() - t0
     _report(2, "affine model slope 4^n and degree 1", ok, elapsed, 5)
     assert ok and elapsed < 5
@@ -81,7 +81,7 @@ def test_criterion_03_quantum_dimension_and_growth():
         alg = QAlgebra(n, CycField(2, 1))
         ok = ok and all(dim_Vr(alg, r) == comb(n + r, r) for r in range(13))
         est = degree_estimate(GrowthSeries(gk_profile(alg, 12)))
-        ok = ok and est.snapped == n and not est.unbounded
+        ok = ok and est.snapped == n and est.at_least is None
     elapsed = time.perf_counter() - t0
     _report(3, "sorted-monomial count and growth degree n", ok, elapsed, 30)
     assert ok and elapsed < 30

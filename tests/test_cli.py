@@ -154,27 +154,44 @@ def window(fn, lo, hi):
 
 
 @pytest.mark.parametrize(
-    "points, degree, code",
+    "points, degree, from_r, line, code",
     [
-        (window(lambda r: comb(r + 6, 6), 1, 8), "6", 0),  # two points short of differences
-        (window(lambda r: comb(r + 11, 11), 1, 13), "11", 0),
+        (window(lambda r: comb(r + 6, 6), 1, 8), "6", 1, None, 0),  # two points short of differences
+        (window(lambda r: comb(r + 11, 11), 1, 13), "11", 1, None, 0),
         # a window bound is no degree, so it fails like inconclusive
-        (window(lambda r: r**r, 1, 12), ">=11", 1),
-        (window(lambda r: 2**r, 1, 14), ">=13", 1),
+        (window(lambda r: r**r, 1, 12), ">=11", None, None, 1),
+        (window(lambda r: 2**r, 1, 14), ">=13", None, None, 1),
         # a polynomial of degree 10 seen through 8 points: the bound holds
-        (window(lambda r: 10**12 + r**10, 10, 17), ">=7", 1),
-        # 16r - 16 from r = 3 on, its first two values off the line
-        (rn_dim_series(2, 12), ">=11", 1),
-        (window(lambda r: comb(r + 6, 6) + r, 1, 8), "inconclusive", 1),
+        (window(lambda r: 10**12 + r**10, 10, 17), ">=7", None, None, 1),
+        # 16r - 16 from r = 3 on, its first two values off the line: the
+        # suffix from r = 3 certifies degree 1 and reads the line
+        (rn_dim_series(2, 12), "1", 3, (16, -16), 0),
+        (window(lambda r: comb(r + 6, 6) + r, 1, 8), "inconclusive", None, None, 1),
     ],
     ids=["C(r+6,6)", "C(r+11,11)", "r^r", "2^r", "10^12+r^10", "rn_dim_series(2,12)", "C(r+6,6)+r"],
 )
-def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, points, degree, code):
+def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, points, degree, from_r, line, code):
     monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{d}\n" for r, d in points)))
     got, out, err = run(capsys, "growth", "estimate", "-", "--format", "machine")
     assert (got, err) == (code, "")
-    record = machine_lines(out)[0]
+    record, slope = machine_lines(out)
     assert (record["outputs"]["degree"], record["verdict"]) == (degree, "fail" if code else "pass")
+    assert record["outputs"]["from_r"] == from_r
+    # the slope record holds a number exactly when degree <= 1 is certified
+    assert (slope["outputs"]["slope"], slope["outputs"]["offset"]) == (line or ("nonlinear", None))
+
+
+def test_growth_estimate_walk_is_charged_to_the_budget(capsys, monkeypatch):
+    # rows of 200, 199, ... values of 2^r: the sixth row passes the cap
+    # before it is formed
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{2**r}\n" for r in range(1, 201))))
+    budget.set_cap(1000)
+    try:
+        code, out, err = run(capsys, "growth", "estimate", "-")
+    finally:
+        budget.set_cap(budget.DEFAULT_CAP)
+    assert (code, out) == (2, "")
+    assert err == "error: operation budget exhausted: 1185 > 1000 (raise WORKBENCH_MAX_OPS to allow more work)\n"
 
 
 @pytest.mark.parametrize(

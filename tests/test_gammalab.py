@@ -175,7 +175,7 @@ def test_rn_growth_degree_is_one():
     for pairs in range(5):
         series = GrowthSeries(rn_dim_series(pairs, 2 * pairs + 12, max(1, 2 * pairs)))
         est = degree_estimate(series)
-        assert est.snapped == 1 and not est.unbounded
+        assert est.snapped == 1 and est.at_least is None
 
 
 def test_rn_dim_validation():

@@ -142,7 +142,7 @@ def test_gk_profile_degrees():
     for n in (1, 2, 4):
         alg = QAlgebra(n, CycField(2, 1))
         est = degree_estimate(GrowthSeries(gk_profile(alg, 12)))
-        assert est.snapped == n and not est.unbounded
+        assert est.snapped == n and est.at_least is None
 
 
 def test_central_power_examples():
