@@ -56,6 +56,12 @@ def used():
     return _used
 
 
+def words(n: int) -> int:
+    """Size of an integer in 64-bit words, the unit powers and difference
+    tables are charged in."""
+    return n.bit_length() // 64 + 1
+
+
 def charge(n=1):
     """Account for n primitive term operations."""
     global _used

@@ -16,8 +16,11 @@ Products.  Kronecker substitution: each numerator vector is packed into one
 big integer, with slots wide enough for every coefficient of the product,
 the two are multiplied once, and the product is unpacked with signs and
 reduced.  Packing and unpacking run in C (`array`, `memoryview`) for slots
-of up to 8 bytes.  `QPoly` products use the same `_pack`/`_unpack`, once
-per product rather than once per term pair.  Multiplying by zeta**k is an
+of up to 8 bytes.  `QPoly` products pack each term once per product, and
+a square makes one big-int product per unordered pair of terms; each
+output sum is reduced inside the integer (`_Level.reduce_packed`: signed
+splits at m and at d slots, so its slots get a 6x margin) and only its d
+slots are unpacked.  Multiplying by zeta**k is an
 index shift (`times_zeta`); `_times` folds a product and such a shift into
 one pass, and `conjugate(k)` applies the automorphism zeta -> zeta**k.
 
@@ -36,11 +39,13 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
 from . import budget
-from .ringops import charged_power, is_prime, render_terms, words
+from .budget import words
+from .ringops import charged_power, is_prime, render_terms
 
 
 # --- the integer kernel ------------------------------------------------------------
@@ -57,21 +62,23 @@ def _width(bound: int) -> int:
     return next((size for size in _WORDS if size >= width), width)
 
 
+@lru_cache(maxsize=64)
 def _tops(width: int, slots: int) -> int:
-    """The top bit of each of `slots` slots."""
+    """The top bit of each of `slots` slots, built once per shape."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
 
-def _pack(nums, width: int) -> int:
+def _pack(nums, width: int, tops: int = 0) -> int:
     """sum_k nums[k] * 2**(8*width*k).  Written in two's complement, each
-    negative slot borrowed one from the slot above; its top bit repays it."""
+    negative slot borrowed one from the slot above; its top bit repays it.
+    `tops`, if given, is `_tops(width, len(nums))`."""
     code = _WORDS.get(width)
     if code:
         raw = array(code, nums).tobytes()
     else:
         raw = b"".join(n.to_bytes(width, "little", signed=True) for n in nums)
     packed = int.from_bytes(raw, "little")
-    return packed - ((packed & _tops(width, len(nums))) << 1)
+    return packed - ((packed & (tops or _tops(width, len(nums)))) << 1)
 
 
 def _unpack(packed: int, width: int, slots: int) -> list:
@@ -117,6 +124,30 @@ class _Level:
         for base in range(0, d, s):
             c[base:base + width] = map(sub, c[base:base + width], high)
         return c
+
+    def reduce_packed(self, packed: int, width: int) -> list:
+        """`reduce` inside a packed vector (`width`-byte slots) of length at
+        most m + 2d - 2, unpacking only the d slots left: a signed split at
+        m slots folds zeta**m = 1, and one at d slots, subtracted at each
+        j*s, rewrites zeta**(d+r).  The fold adds up to three slot values
+        and the rewrite one more such sum, so the slots need six times the
+        input's bound.  `reduce` stays for callers holding a list (`shift`,
+        `conjugate`, `element`), which need not pack one."""
+        bits = 8 * width
+        span = bits * self.m
+        half = 1 << (span - 1)
+        high = (packed + half) >> span
+        while high:
+            packed += high - (high << span)
+            high = (packed + half) >> span
+        span = bits * self.d
+        half = 1 << (span - 1)
+        high = (packed + half) >> span
+        if high:
+            packed -= high << span
+            for base in range(0, span, bits * self.s):
+                packed -= high << base
+        return _unpack(packed, width, self.d)
 
     def mul(self, a, b):
         """a * b for nonzero vectors, by one big-int product."""

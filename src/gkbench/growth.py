@@ -170,8 +170,9 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     D.  The verdict is the certificate with the earliest start whose suffix
     holds at least MIN_POINTS points, the lower degree on a tie; one that
     starts at the first point ends the walk.  Without one, the verdict is
-    the window bound >=k-1 or inconclusive.  Each row value and ratio step
-    is charged to the work budget before it is formed.
+    the window bound >=k-1 or inconclusive.  Before each row is formed the
+    work budget is charged the 64-bit words (`budget.words`) of the values
+    it is formed from, as powers are charged, and each ratio step one op.
     """
     k = len(series)
     if k < MIN_POINTS:
@@ -179,8 +180,8 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
     found = []  # (start index, degree) of each certificate
     bounded = False
     if len(series.steps) == 1:
-        budget.charge(k)
         row = [d for _, d in series.points]
+        budget.charge(sum(map(budget.words, row)))
         degree = 0
         while len(row) >= 3:
             start = _run_start(row)
@@ -188,7 +189,7 @@ def degree_estimate(series: GrowthSeries) -> DegreeEstimate:
                 if start == 0:
                     return DegreeEstimate(degree, None, series.rs[0])
                 found.append((start, degree))
-            budget.charge(len(row) - 1)
+            budget.charge(sum(map(budget.words, row[1:])))
             row = [b - a for a, b in zip(row, row[1:])]
             degree += 1
         bounded = row[0] != row[1]

@@ -49,7 +49,8 @@ from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul
 
 from . import budget
-from .ringops import TermSum, charged_power, is_prime, render_terms, words
+from .budget import words
+from .ringops import TermSum, charged_power, is_prime, render_terms
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from math import comb, lcm
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cyclo import CycElem, CycField, _normal, _pack, _unpack, _width
+from .cyclo import CycElem, CycField, _normal, _pack, _tops, _width
 from .ringops import TermSum, charged_power, render_terms
 from . import budget
 
@@ -83,7 +83,7 @@ class QAlgebra:
         return QPoly._make(self, {tuple(exps): self.field.one()})
 
     def word(self, indices, scalar: Optional[CycElem] = None) -> "FreeWord":
-        return FreeWord(self, tuple(indices), scalar or self.field.one())
+        return FreeWord(self, tuple(indices), self.field.one() if scalar is None else scalar)
 
 
 class FreeWord:
@@ -190,10 +190,14 @@ class QPoly(TermSum):
         """One term pair is one shifted field product, `CycElem._times`.
         More are summed by Kronecker substitution once per product: each
         coefficient is packed once, over its side's common denominator, in
-        slots wide enough for any output slot (at most min(|a|, |b|) pairs
-        meet in an output monomial).  A pair costs one big-int product,
-        shifted by -crossings slots (zeta**m = 1) into its monomial's sum;
-        each sum is unpacked, reduced and brought to lowest terms once."""
+        slots wide enough for six times any output slot (at most
+        min(|a|, |b|) pairs meet in an output monomial; the six is the
+        reduction's, `_Level.reduce_packed`).  A pair costs one big-int
+        product, shifted by -crossings slots (zeta**m = 1) into its
+        monomial's sum; a square (other is self) makes one product per
+        unordered pair {e, f} and adds it at both orders' shifts.  Each sum
+        is reduced inside the integer, and its d slots are unpacked and
+        brought to lowest terms once."""
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check(other)
@@ -208,21 +212,30 @@ class QPoly(TermSum):
         field = self.parent.field
         level = field._level
         den_a, nums_a, top_a = _over_lcm(a)
-        den_b, nums_b, top_b = _over_lcm(b)
-        width = _width(top_a * top_b * level.d * min(len(a), len(b)))
-        bits, m = 8 * width, level.m
-        packed_b = [(f, _pack(nums, width)) for f, nums in nums_b.items()]
+        den_b, nums_b, top_b = (den_a, nums_a, top_a) if other is self else _over_lcm(b)
+        width = _width(6 * top_a * top_b * level.d * min(len(a), len(b)))
+        bits, m, tops = 8 * width, level.m, _tops(width, level.d)
+        # crossings(e, f) = sum_i e_i * (f_0 + ... + f_{i-1})
+        side_b = [
+            (f, list(itertools.accumulate(f[:-1], initial=0)), _pack(nums, width, tops)) for f, nums in nums_b.items()
+        ]
         sums = {}
-        for e, nums in nums_a.items():
-            x = _pack(nums, width)
-            for f, y in packed_b:
-                exps = tuple(map(add, e, f))
-                sums[exps] = sums.get(exps, 0) + ((x * y) << (bits * (-_crossings(e, f) % m)))
-        out = {}
-        for exps, packed in sums.items():
-            nums = level.reduce(_unpack(packed, width, packed.bit_length() // bits + 1))
-            if any(nums):
-                out[exps] = _normal(field, nums, den_a * den_b)
+        if other is self:
+            for i, (e, pe, x) in enumerate(side_b):
+                for f, pf, y in side_b[i:]:
+                    xy, exps = x * y, tuple(map(add, e, f))
+                    acc = sums.get(exps, 0) + (xy << bits * (-sum(map(mul, e, pf)) % m))
+                    if f is not e:  # x^f x^e, from the same product
+                        acc += xy << bits * (-sum(map(mul, f, pe)) % m)
+                    sums[exps] = acc
+        else:
+            for e, nums in nums_a.items():
+                x = _pack(nums, width, tops)
+                for f, pf, y in side_b:
+                    exps = tuple(map(add, e, f))
+                    sums[exps] = sums.get(exps, 0) + ((x * y) << bits * (-sum(map(mul, e, pf)) % m))
+        den = den_a * den_b
+        out = {exps: _normal(field, level.reduce_packed(v, width), den) for exps, v in sums.items()}
         return QPoly._make(self.parent, out)
 
     def __pow__(self, exponent: int):

@@ -45,11 +45,6 @@ def power(base, exponent: int, one):
     return one if result is None else result
 
 
-def words(n: int) -> int:
-    """Size of an integer in 64-bit words, the unit powers are charged in."""
-    return n.bit_length() // 64 + 1
-
-
 def charged_power(base, exponent: int, one):
     """base**exponent for any integer exponent, a negative one through
     base.inv().  The budget is charged |exponent| * base._words() first: a

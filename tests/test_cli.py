@@ -182,8 +182,9 @@ def test_growth_estimate_reads_each_verdict(capsys, monkeypatch, points, degree,
 
 
 def test_growth_estimate_walk_is_charged_to_the_budget(capsys, monkeypatch):
-    # rows of 200, 199, ... values of 2^r: the sixth row passes the cap
-    # before it is formed
+    # rows of 200, 199, ... values 2^r, charged in 64-bit words before each
+    # row is formed: 422 for the points; 421 for row 1, from the points
+    # past the first; then row 2, from 2^2 .. 2^199, passes the cap at 417
     monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{r},{2**r}\n" for r in range(1, 201))))
     budget.set_cap(1000)
     try:
@@ -191,7 +192,19 @@ def test_growth_estimate_walk_is_charged_to_the_budget(capsys, monkeypatch):
     finally:
         budget.set_cap(budget.DEFAULT_CAP)
     assert (code, out) == (2, "")
-    assert err == "error: operation budget exhausted: 1185 > 1000 (raise WORKBENCH_MAX_OPS to allow more work)\n"
+    assert err == "error: operation budget exhausted: 1260 > 1000 (raise WORKBENCH_MAX_OPS to allow more work)\n"
+
+
+def test_growth_estimate_of_wide_values_exhausts_the_default_budget(tmp_path, capsys):
+    # 6000 points of 2^r: the rows of the difference table hold far more
+    # 64-bit words than the default cap, so the walk stops with exit 2
+    series = tmp_path / "series.txt"
+    series.write_text("".join(f"{r},{2**r}\n" for r in range(1, 6001)))
+    budget.set_cap(budget.DEFAULT_CAP)
+    code, out, err = run(capsys, "growth", "estimate", str(series))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: operation budget exhausted: ")
+    assert err.endswith(f" > {budget.DEFAULT_CAP} (raise WORKBENCH_MAX_OPS to allow more work)\n")
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gkbench import mqfield
 from gkbench.mqfield import MQElem, PrimeBasis
 from gkbench.ordgroup import GroupElem
-from gkbench.ringops import words
+from gkbench.budget import words
 from gkbench.sampling import random_mq
 from mqoracle import mq_add, mq_flip, mq_mul
 

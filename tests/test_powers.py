@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from gkbench import budget
+from gkbench.budget import words
 from gkbench.cyclo import CycField
 from gkbench.mqfield import PrimeBasis
 from gkbench.ordgroup import GroupElem
 from gkbench.parser import parse, to_quantum, to_twisted
 from gkbench.qaffine import QAlgebra
-from gkbench.ringops import power, words
+from gkbench.ringops import power
 from gkbench.twistring import TwistedElem
 
 BASIS = PrimeBasis.first(3)

@@ -39,6 +39,13 @@ def test_normal_form_single_swap():
     assert str(nf) == "-z*x1*x2"
 
 
+def test_word_with_a_zero_scalar_is_zero():
+    word = ALG.word([2, 1], ALG.field.zero())
+    assert word.scalar == ALG.field.zero()
+    assert normal_form(word) == ALG.zero()
+    assert ALG.word([2, 1]).scalar == ALG.field.one()
+
+
 def test_normal_form_sorted_word_unchanged():
     nf = normal_form(ALG.word([1, 2]))
     assert nf == QPoly(ALG, {(1, 1): ALG.field.one()})

@@ -1,9 +1,12 @@
 """The packed `QPoly` product against the per-term-pair oracle in
 qoracle.py: every workload level plus t = 0, n = 1..4, mixed denominators,
-numerators past 2**64, cancelled terms, single-term operands, the budget
-charge, and sums that fill the slot width exactly.  Also the counted normal
-form against the rewriting oracle and the generator product."""
+numerators past 2**64, cancelled terms, single-term operands, squares of one
+object, powers, the budget charge, and sums that fill the slot width
+exactly; the in-integer reduction against the list reduction at every
+level.  Also the counted normal form against the rewriting oracle and the
+generator product."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -13,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkbench import budget
-from gkbench.cyclo import CycField
+from gkbench.cyclo import CycField, _pack, _unpack, _width
 from gkbench.qaffine import QAlgebra, QPoly, normal_form, normal_form_random
 from qoracle import crossings, q_mul
 
@@ -94,20 +97,106 @@ def test_cancelled_terms_are_dropped(alg, top, data):
     assert_lowest_terms(product)
 
 
+def assert_square_matches_the_oracle(a):
+    """a * a makes one big-int product per unordered pair of terms and adds
+    it at both orders' shifts; it must equal the per-pair oracle and charge
+    what it does."""
+    square, ops = charged(QPoly.__mul__, a, a)
+    assert (square, ops) == charged(q_mul, a, a)
+    assert_lowest_terms(square)
+
+
+@pytest.mark.parametrize("top", TOPS)
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=repr)
+def test_square_of_one_object_matches_the_oracle(alg, top):
+    """Every algebra and numerator size, on three dense terms."""
+    rng = random.Random(f"{alg!r}:{top}")
+    keys = rng.sample(sorted(itertools.product(range(4), repeat=alg.n)), 3)
+    def dense():
+        return [Fraction(rng.randint(-top, top), rng.choice(DENOMINATORS)) for _ in range(alg.field.degree)]
+
+    assert_square_matches_the_oracle(QPoly(alg, {e: alg.field.element(dense()) for e in keys}))
+
+
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(TOPS), st.data())
+def test_squares_match_the_oracle(alg, top, data):
+    assert_square_matches_the_oracle(data.draw(polys(alg, top, min_terms=2)))
+
+
+@given(st.sampled_from(ALGEBRAS), st.sampled_from(TOPS), st.integers(0, 8), st.data())
+def test_power_matches_repeated_oracle_products(alg, top, k, data):
+    a = data.draw(polys(alg, top, max_terms=3))
+    want = alg.one()
+    for _ in range(k):
+        want = q_mul(want, a)
+    assert a**k == want
+
+
+def _chain(level):
+    lv, chain = FIELDS[level]._level, []
+    while lv:
+        chain.append(lv)
+        lv = lv.lower
+    return chain
+
+
+LEVEL_CHAIN = [lv for level in LEVELS for lv in _chain(level)]
+WIDTHS = (2, 8, 9, 16)
+
+
+def slot_bound(width):
+    """The largest slot value `reduce_packed` takes: a sixth of the signed
+    range of a width-byte slot."""
+    return (2 ** (8 * width - 1) - 1) // 6
+
+
+@given(st.sampled_from(LEVEL_CHAIN), st.sampled_from(WIDTHS), st.data())
+def test_packed_reduction_matches_the_list_reduction(lv, width, data):
+    bound = slot_bound(width)
+    values = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=lv.m + 2 * lv.d - 2))
+    packed = _pack(values, width)
+    assert lv.reduce_packed(packed, width) == lv.reduce(_unpack(packed, width, len(values)))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("lv", LEVEL_CHAIN, ids=lambda lv: f"m={lv.m}")
+def test_packed_reduction_at_the_slot_bound(lv, width):
+    """Every slot at the bound, of either sign or alternating, over the
+    longest vector a product sums: at odd p and m > 3 the slots 0, m and
+    2m fold into slot 0, and the rewrite subtracts a folded slot from it."""
+    bound = slot_bound(width)
+    length = lv.m + 2 * lv.d - 2
+    for values in ([bound] * length, [-bound] * length, [(-1) ** k * bound for k in range(length)]):
+        packed = _pack(values, width)
+        assert lv.reduce_packed(packed, width) == lv.reduce(list(values))
+
+
 @pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("width", (2, 8, 9, 16))
+@pytest.mark.parametrize("width", WIDTHS)
 def test_worst_case_sum_fits_its_slot(level, width):
-    """Dense numerators all equal to the largest t with degree * t**2 below
-    2**(8*width - 1): one coefficient product just fits a width-byte slot,
-    and the two pairs that meet in x^1 add to twice that."""
+    """Dense numerators +-t, t the largest with product bound
+    margin * degree * t**2 * terms below 2**(8*width - 1) (at most `terms`
+    pairs meet in an output monomial).  At margin 6, the in-integer
+    reduction's, the product packs at exactly this width; at margin 1 the
+    unreduced sums fill the slot.  Numerators of one sign, and in sign
+    blocks of s, whose square reduces at odd p to 1.5 (p = 3) or 1.75
+    (p = 5) times the bound: a margin below that overflows.  With n = 2 the
+    pairs that meet in x1*x2 include x2 * x1 = q**-1 * x1*x2, shifted by
+    m - 1 slots to end at slot m + 2d - 3: at odd p that is past 2m, and
+    slot 0 of the sum folds three values, from slots 0, m and 2m."""
     field = FIELDS[level]
-    top = isqrt((2 ** (8 * width - 1) - 1) // field.degree)
-    alg = QAlgebra(1, field)
-    for sign in (1, -1):
-        dense = field.element([sign * top] * field.degree)
-        a = QPoly(alg, {(0,): dense, (1,): dense})
-        assert a * a == q_mul(a, a)
-        assert a * -a == q_mul(a, -a)
+    d, s = field.degree, field._level.s
+    for keys in (((0,), (1,)), ((0, 0), (1, 0), (0, 1), (1, 1))):
+        alg = QAlgebra(len(keys[0]), field)
+        for margin in (1, 6):
+            top = isqrt((2 ** (8 * width - 1) - 1) // (margin * d * len(keys)))
+            if margin == 6:
+                assert _width(6 * d * top * top * len(keys)) == width
+            for signs in ([1] * d, [(-1) ** (k // max(s, 1)) for k in range(d)]):
+                dense = field.element([sign * top for sign in signs])
+                a = QPoly(alg, {e: dense for e in keys})
+                assert a * a == q_mul(a, a)
+                assert a * -a == q_mul(a, -a)
 
 
 @given(st.sampled_from(ALGEBRAS), st.sampled_from(TOPS), st.data())
