@@ -4,8 +4,9 @@ primitive m-th root of unity, m = p**(2t).
 Representation.  An element is sum_{k<d} c_k zeta**k, d = phi(m), held as
 integer numerators `nums` over one positive denominator `den`, in lowest
 terms: gcd(nums, den) = 1, and den = 1 for zero.  That form is canonical, so
-equality and hashing compare it directly.  `coeffs` gives the same vector as
-Fractions.
+equality and hashing compare it directly.  A rational input is read as an
+integer pair (`ringops.ratio`), and `coeffs` gives the vector as Fractions,
+importing `fractions` only when it is read.
 
 Reduction.  With s = m - d = p**(2t-1) the modulus is the cyclotomic
 polynomial sum_{j<p} X**(j*s).  A coefficient vector of any length is
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
 from . import budget
 from .budget import words
-from .ringops import charged_power, is_prime, render_terms
+from .ringops import charged_power, is_prime, ratio, ratio_text, render_terms
 
 
 # --- the integer kernel ------------------------------------------------------------
@@ -218,9 +218,6 @@ def _lone(nums) -> int:
     return next(i for i, c in enumerate(nums) if c)
 
 
-_ZERO = Fraction(0)
-
-
 def _check_degree(p: int, t: int) -> None:
     """Refuse a field whose degree (p-1)*p**(2t-1) exceeds the work budget's
     cap: every element holds that many coefficients.  A hopeless degree is
@@ -277,9 +274,9 @@ class CycField:
         values = list(coeffs)
         if all(type(c) is int for c in values):
             return _normal(self, self._level.reduce(values), 1)
-        values = [Fraction(c) for c in values]
-        den = lcm(*(c.denominator for c in values))
-        nums = [c.numerator * (den // c.denominator) for c in values]
+        pairs = [ratio(c) for c in values]
+        den = lcm(*(d for _, d in pairs))
+        nums = [n * (den // d) for n, d in pairs]
         return _normal(self, self._level.reduce(nums), den)
 
     def zero(self) -> "CycElem":
@@ -289,8 +286,8 @@ class CycField:
         return _elem(self, [1] + [0] * (self.degree - 1))
 
     def rational(self, value) -> "CycElem":
-        value = Fraction(value)
-        return _elem(self, [value.numerator] + [0] * (self.degree - 1), value.denominator)
+        num, den = ratio(value)
+        return _elem(self, [num] + [0] * (self.degree - 1), den)
 
     @property
     def zeta(self) -> "CycElem":
@@ -307,21 +304,23 @@ class CycElem:
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: CycField, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != field.degree:
+        pairs = [ratio(c) for c in coeffs]
+        if len(pairs) != field.degree:
             raise ValueError(
-                f"coefficient vector has length {len(coeffs)}, expected {field.degree}"
+                f"coefficient vector has length {len(pairs)}, expected {field.degree}"
             )
-        den = lcm(*(c.denominator for c in coeffs))
+        den = lcm(*(d for _, d in pairs))
         self.field = field
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.nums = tuple(n * (den // d) for n, d in pairs)
         self.den = den
 
     @property
     def coeffs(self) -> tuple:
         """The coefficient vector, length = field degree, as Fractions."""
+        from fractions import Fraction  # the kernel holds integers only
+
         den = self.den
-        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def _check_field(self, other: "CycElem"):
         if self.field is not other.field and self.field != other.field:
@@ -454,10 +453,11 @@ class CycElem:
         return hash((self.field, self.nums, self.den))
 
     def __str__(self):
+        den = self.den
         return render_terms(
-            (str(c), "" if k == 0 else "z" if k == 1 else f"z^{k}")
-            for k, c in enumerate(self.coeffs)
-            if c
+            (ratio_text(n, den), "" if k == 0 else "z" if k == 1 else f"z^{k}")
+            for k, n in enumerate(self.nums)
+            if n
         )
 
     def __repr__(self):

@@ -6,8 +6,9 @@ subset S is a bitmask (bit i-1 stands for sqrt(p_i); mask 0 is the rational
 part), and the coefficients are integer numerators `terms` {mask: nonzero
 int} over one positive denominator `den`, in lowest terms: gcd(den, *nums)
 = 1, and den = 1 for zero.  That form is canonical, so equality and hashing
-compare it directly.  `coeffs` gives the same element as {frozenset of
-indices: Fraction}.
+compare it directly.  A rational input is read as an integer pair
+(`ringops.ratio`), and `coeffs` gives the element as {frozenset of indices:
+Fraction}, importing `fractions` only when it is read.
 
 Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)), so a sparse
 product adds x * y * pp[s & t] into out[s ^ t] for every pair of terms
@@ -43,14 +44,13 @@ operations pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import add, attrgetter, mul
 
 from . import budget
 from .budget import words
-from .ringops import TermSum, charged_power, is_prime, render_terms
+from .ringops import TermSum, charged_power, is_prime, ratio, ratio_text, render_terms
 
 
 def first_primes(count: int) -> tuple[int, ...]:
@@ -172,8 +172,8 @@ class PrimeBasis:
         return self.rational(1)
 
     def rational(self, value) -> "MQElem":
-        value = Fraction(value)
-        return MQElem._make(self, {0: value.numerator}, value.denominator)
+        num, den = ratio(value)
+        return MQElem._make(self, {0: num}, den)
 
     def radical(self, i: int) -> "MQElem":
         """sqrt(p_i) as an element."""
@@ -222,10 +222,10 @@ class MQElem(TermSum):
                 raise ValueError(f"the key {subset!r} repeats a radical index")
             if mask in clean:
                 raise ValueError(f"two keys name the radical subset {tuple(_indices(mask))}")
-            clean[mask] = value if type(value) is Fraction else Fraction(value)
-        den = lcm(*(v.denominator for v in clean.values()))
+            clean[mask] = ratio(value)
+        den = lcm(*(d for _, d in clean.values()))
         self.parent = basis
-        self.terms = {m: v.numerator * (den // v.denominator) for m, v in clean.items() if v}
+        self.terms = {m: num * (den // d) for m, (num, d) in clean.items() if num}
         self.den = den
 
     @classmethod
@@ -247,6 +247,8 @@ class MQElem(TermSum):
     @property
     def coeffs(self) -> dict:
         """{frozenset of radical indices: nonzero Fraction}, built on each read."""
+        from fractions import Fraction  # the kernel holds integers only
+
         den = self.den
         return {frozenset(_indices(m)): Fraction(c, den) for m, c in self.terms.items()}
 
@@ -369,6 +371,6 @@ class MQElem(TermSum):
 
     def __str__(self):
         return render_terms(
-            (str(Fraction(self.terms[m], self.den)), "*".join(f"s{i}" for i in _indices(m)))
+            (ratio_text(self.terms[m], self.den), "*".join(f"s{i}" for i in _indices(m)))
             for m in sorted(self.terms, key=_indices)
         )

@@ -9,11 +9,12 @@ Four parts.  A scanner, one compiled regular expression, reads ASCII digits,
 ASCII identifiers, the seven operators and whitespace; any other character
 is a ParseError at its line and column.  The parser builds the tree.  One
 table, `_LEAVES` {context: {kind: leaf}}, holds each context's vocabulary:
-a literal (`lit`), s<k> radicals (`radical`), x<k> generators (`xgen`), z
-the root of unity (`cyclo`) and e the group identity (`identity`).  g, the
-gamma series symbol, is recognized but has no finite representation, so
-every context rejects it.  The parser reads the table to reject a symbol or
-literal its context lacks, at the offending position.
+a literal (`lit`: an int, or a Fraction for a/b), s<k> radicals
+(`radical`), x<k> generators (`xgen`), z the root of unity (`cyclo`) and e
+the group identity (`identity`).  g, the gamma series symbol, is recognized
+but has no finite representation, so every context rejects it.  The parser
+reads the table to reject a symbol or literal its context lacks, at the
+offending position.
 
 One fold, `_evaluate`, reads the same table to turn an accepted tree into a
 value in every context: powers, products and sums go to the value type's own
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # annotations only: a context loads its value types itself
+    from fractions import Fraction
+
     from .mqfield import MQElem, PrimeBasis
     from .ordgroup import GroupElem
     from .qaffine import QAlgebra, QPoly
@@ -56,7 +58,7 @@ class ParseError(ValueError):
 
 
 class Lit(NamedTuple):
-    value: Fraction
+    value: Union[int, Fraction]  # an int, unless the literal is a/b
     kind = "lit"  # a class attribute, not a field: the leaf table's key
 
 
@@ -255,14 +257,16 @@ class _Parser:
             return inner
         if tok.kind == "INT":
             self.advance()
-            value = Fraction(self.integer(tok))
+            value = self.integer(tok)
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("INT")
                 denominator = self.integer(den)
                 if denominator == 0:
                     self.error("zero denominator", den)
-                value = value / denominator
+                from fractions import Fraction  # only a literal a/b needs it
+
+                value = Fraction(value, denominator)
             if "lit" not in _LEAVES[self.context]:
                 self.error(f"rational literals are not {self.context} elements", tok)
             return Lit(value)

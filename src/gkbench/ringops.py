@@ -1,6 +1,12 @@
 """Helpers shared by the element types of every ring in the workbench (the
-primality test of both field types, powers, rendering), and
-`TermSum`, the one sparse-sum core under `MQElem`, `TwistedElem` and `QPoly`.
+primality test of both field types, powers, the rational edge, rendering),
+and `TermSum`, the one sparse-sum core under `MQElem`, `TwistedElem` and
+`QPoly`.
+
+The kernels hold rationals as integer numerators over a denominator, so a
+rational crosses the value edge as an integer pair: `ratio` reads one in,
+`ratio_text` writes one out, and `fractions` is imported only for an input
+that is not already a pair of ints (a float, a Decimal, a string).
 
 A `TermSum` is a finite sum  sum a_k * k  kept as a canonical map `terms`
 {key: nonzero coefficient} over a `parent` (a `PrimeBasis` or a `QAlgebra`).
@@ -10,6 +16,8 @@ inverse, and its rendering.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -27,6 +35,33 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of a rational value, in lowest terms with a
+    positive denominator, as `Fraction(value)` gives them.  An int, a bool
+    or a Fraction is read directly; anything else goes through `Fraction`,
+    which raises for what is not a rational."""
+    try:
+        num, den = value.numerator, value.denominator
+        if type(num) is int and type(den) is int:
+            return num, den
+    except AttributeError:
+        pass
+    from fractions import Fraction  # only an input that is not a pair of ints
+
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den as `str(Fraction(num, den))` writes it, den positive:
+    reduced, the sign on the numerator, no '/1'."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def power(base, exponent: int, one):
@@ -50,8 +85,9 @@ def charged_power(base, exponent: int, one):
     base.inv().  The budget is charged |exponent| * base._words() first: a
     power's coefficients grow about that much, while every other operation
     yields at most the sum of its operands' sizes."""
-    # imported here, on the first power: a module that only builds values
-    # (a PrimeBasis, say) then starts without loading the meter
+    # imported here, on the first power, so that `gkbench.is_prime` alone
+    # loads only ringops (tests/test_package.py pins it); the field modules
+    # import budget themselves
     from . import budget
 
     budget.charge(abs(exponent) * base._words())

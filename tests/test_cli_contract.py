@@ -214,7 +214,7 @@ if sys.argv[1:]:
     import contextlib, io
     with contextlib.redirect_stdout(io.StringIO()):
         code = gkbench.cli.main(sys.argv[1:])
-heavy = ("gkbench", "dataclasses", "inspect")
+heavy = ("gkbench", "dataclasses", "inspect", "fractions", "decimal")
 print(code, *sorted(m for m in sys.modules if m.split(".")[0] in heavy))
 """
 
@@ -241,7 +241,9 @@ _SERIES = "".join(f"{r},{r * r + 1}\n" for r in range(1, 13))
 
 
 # Each request and the gkbench modules it must not load.  Only `verify`
-# loads the campaigns and their samplers.
+# loads the campaigns and their samplers.  Values hold integer pairs, so
+# `fractions` (and `decimal`, which it imports) loads only for a literal a/b
+# and for `verify`'s samplers.
 _REQUESTS = [
     (("growth", "estimate", "-"), {"parser", "mqfield", "cyclo"}),
     (("eval", "--context", "group", "x1^2*x2^-1"), {"cyclo", "qaffine", "mqfield"}),
@@ -262,12 +264,17 @@ _REQUESTS = [
 ]
 
 
+_NEED_FRACTIONS = [("eval", "--context", "field", "s1 + 1/2"), ("verify", "step4", "--n", "2")]
+
+
 @pytest.mark.parametrize("argv, absent", _REQUESTS, ids=[" ".join(a) for a, _ in _REQUESTS])
 def test_each_request_loads_only_the_modules_it_runs(argv, absent):
     code, modules = _loaded(*argv, stdin=_SERIES)
     assert code == "0"
     assert not {"dataclasses", "inspect"} & modules
     assert not {f"gkbench.{name}" for name in absent} & modules
+    rationals = {"fractions", "decimal"}
+    assert rationals & modules == (rationals if argv in _NEED_FRACTIONS else set())
     campaigns = {"gkbench.campaigns", "gkbench.sampling"}
     assert campaigns & modules == (campaigns if argv[0] == "verify" else set())
 

@@ -52,13 +52,15 @@ def test_import_loads_submodules_on_use():
 
 
 # Builds values in a fresh interpreter and prints the gkbench submodules it
-# loaded; the quantum values are the benchmark's own set-up.
+# loaded, then the rational stdlib modules; the quantum values are the
+# benchmark's own set-up.
 _BUILD_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import gkbench, values
 {build}
 print(*sorted(m for m in sys.modules if m.startswith("gkbench.")))
+print("stdlib", *sorted(m for m in ("fractions", "decimal", "numbers") if m in sys.modules))
 """
 
 
@@ -78,7 +80,10 @@ def test_each_value_loads_only_its_modules(build, loaded):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == {f"gkbench.{name}" for name in loaded}
+    modules, stdlib = proc.stdout.splitlines()
+    assert set(modules.split()) == {f"gkbench.{name}" for name in loaded}
+    # values hold integer pairs: no build loads the stdlib's rationals
+    assert stdlib.split() == ["stdlib"]
 
 
 def test_names_follow_rebinding_in_the_submodule(monkeypatch):

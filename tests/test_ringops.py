@@ -1,12 +1,17 @@
-"""The shared pow-by-squaring helper and the powers built on it."""
+"""The shared pow-by-squaring helper and the powers built on it, the
+rational edge (`ratio`, `ratio_text`) against `fractions.Fraction`, and the
+term renderer."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkbench.mqfield import PrimeBasis
 from gkbench.parser import parse, to_twisted
-from gkbench.ringops import power, render_terms
+from gkbench.ringops import power, ratio, ratio_text, render_terms
 
 
 def test_power_helper():
@@ -61,3 +66,41 @@ def test_render_terms():
     assert render_terms([("-2", "s1*s2"), ("5", "x1^2")]) == "-2*s1*s2 + 5*x1^2"
     # a coefficient that is itself a sum is parenthesized and added
     assert render_terms([("-1 + z", "x1"), ("z - z^3", "")]) == "(-1 + z)*x1 + (z - z^3)"
+
+
+_RATIONALS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.builds("{}/{}".format, st.integers(), st.integers(min_value=1)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(_RATIONALS)
+def test_ratio_is_the_pair_fraction_gives(value):
+    expected = Fraction(value)
+    num, den = ratio(value)
+    assert (num, den) == (expected.numerator, expected.denominator)
+    assert type(num) is int and type(den) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, "x", "1/0", "", float("nan"), float("inf"), float("-inf"), Decimal("NaN"),
+     Decimal("Infinity"), 1j, [1]],
+    ids=repr,
+)
+def test_ratio_refuses_what_fraction_refuses(value):
+    with pytest.raises(Exception) as expected:
+        Fraction(value)
+    with pytest.raises(Exception) as got:
+        ratio(value)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_text_is_the_text_of_the_fraction(num, den):
+    assert ratio_text(num, den) == str(Fraction(num, den))
