@@ -2,7 +2,6 @@
 with sign twists, twisted group rings, quantum affine spaces at roots of
 unity, and the growth-degree statistics of the algebras they generate."""
 
-import importlib
 import sys
 
 # Each submodule and the public names it defines.  A submodule is imported
@@ -54,8 +53,9 @@ def __getattr__(name):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     full = f"{__name__}.{module}"
-    found = sys.modules.get(full) or importlib.import_module(full)
-    return getattr(found, name)
+    if full not in sys.modules:
+        __import__(full)  # the interpreter's import path, which `-X importtime` reports
+    return getattr(sys.modules[full], name)
 
 
 def __dir__():

@@ -10,6 +10,7 @@ instead of letting a runaway enumeration eat the machine.
 import os
 
 DEFAULT_CAP = 10**8
+_RAISE = "(raise WORKBENCH_MAX_OPS to allow more work)"  # ends every budget error
 
 
 class WorkBudgetExceeded(RuntimeError):
@@ -68,7 +69,10 @@ def charge(n=1):
     _used += n
     limit = _cap if _cap is not _FROM_ENV else cap()
     if limit is not None and _used > limit:
-        raise WorkBudgetExceeded(
-            f"operation budget exhausted: {_used} > {limit} "
-            "(raise WORKBENCH_MAX_OPS to allow more work)"
-        )
+        raise WorkBudgetExceeded(f"operation budget exhausted: {_used} > {limit} {_RAISE}")
+
+
+def refuse(what: str):
+    """Raise WorkBudgetExceeded for work the cap cannot cover, told before it
+    starts: `what` (say, "field degree 20") exceeds the operation budget."""
+    raise WorkBudgetExceeded(f"{what} exceeds the operation budget {cap()} {_RAISE}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from . import budget
@@ -218,24 +218,26 @@ def _lone(nums) -> int:
     return next(i for i, c in enumerate(nums) if c)
 
 
-def _check_degree(p: int, t: int) -> None:
-    """Refuse a field whose degree (p-1)*p**(2t-1) exceeds the work budget's
-    cap: every element holds that many coefficients.  A hopeless degree is
-    told from the bit lengths, before p**(2t) is formed.  Charges nothing."""
+def _check_field(p: int, t: int) -> None:
+    """Refuse a field the work budget's cap cannot cover: one whose degree
+    (p-1)*p**(2t-1) exceeds it, as every element holds that many
+    coefficients, or, at any t, a p whose trial division, isqrt(p)//2 + 1
+    candidates, would test more than the cap.  A hopeless degree is told from
+    the bit lengths, before p**(2t) is formed.  Reads the cap, charges
+    nothing."""
     limit = budget.cap()
-    if limit is None or t == 0:
+    if limit is None:
         return
-    bits = (p.bit_length() - 1) * (2 * t - 1)  # degree >= 2**bits
-    if bits > limit.bit_length():
-        degree = f"at least 2^{bits}"
-    else:
+    if t:
+        bits = (p.bit_length() - 1) * (2 * t - 1)  # degree >= 2**bits
+        if bits > limit.bit_length():
+            budget.refuse(f"field degree at least 2^{bits}")
         degree = (p - 1) * p ** (2 * t - 1)
-        if degree <= limit:
-            return
-    raise budget.WorkBudgetExceeded(
-        f"field degree {degree} exceeds the operation budget {limit} "
-        "(raise WORKBENCH_MAX_OPS to allow more work)"
-    )
+        if degree > limit:
+            budget.refuse(f"field degree {degree}")
+    candidates = isqrt(max(p, 0)) // 2 + 1
+    if candidates > limit:
+        budget.refuse(f"trial division of {p} ({candidates} candidates)")
 
 
 class CycField:
@@ -249,7 +251,7 @@ class CycField:
         t = int(t)
         if t < 0:
             raise ValueError("tower level must be nonnegative")
-        _check_degree(p, t)  # first: a p past the budget is never trial-divided
+        _check_field(p, t)  # first: a p past the budget is never trial-divided
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -467,9 +469,8 @@ class CycElem:
 def tower_check(p: int, t: int) -> bool:
     """Whether the level-(t+1) field really contains the level-t root: the
     p**2-th power of its root must have multiplicative order p**(2t) and be a
-    zero of the level-t modulus."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    zero of the level-t modulus.  The level-(t+1) field tests that p is
+    prime."""
     if t < 1:
         raise ValueError("tower level must be positive")
     upper = CycField(p, t + 1)

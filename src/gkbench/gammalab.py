@@ -146,10 +146,15 @@ def rn_dim(pairs: int, degree: int) -> int:
     with binary e, u (squares of the radicals and of the group generators are
     central scalars) and total weight a + |e| + |u| <= degree.  Closed form:
     C(2n, w) binary parts have weight w, each admitting the gamma exponents
-    0..degree-w.  The budget is charged for the 4**pairs binary parts counted.
+    0..degree-w.  The budget is charged for the 4**pairs binary parts counted;
+    a count past the cap is told from its bit length, before 4**pairs is
+    formed.
     """
     if pairs < 0 or degree < 0:
         raise ValueError("pairs and degree must be nonnegative")
+    limit = budget.cap()
+    if limit is not None and 2 * pairs >= limit.bit_length():  # 4**pairs > limit
+        budget.refuse(f"the count of 4^{pairs} binary parts")
     budget.charge(4**pairs)
     return sum(
         comb(2 * pairs, w) * (degree - w + 1) for w in range(min(2 * pairs, degree) + 1)

@@ -30,10 +30,7 @@ def _check_index(i: int) -> None:
     budget's cap.  Reads the cap and charges nothing."""
     limit = budget.cap()
     if limit is not None and i // 64 + 1 > limit:
-        raise budget.WorkBudgetExceeded(
-            f"group index {i} with an odd exponent: its mask of {i // 64 + 1} words "
-            f"exceeds the operation budget {limit} (raise WORKBENCH_MAX_OPS to allow more work)"
-        )
+        budget.refuse(f"group index {i} with an odd exponent: its mask of {i // 64 + 1} words")
 
 
 class GroupElem:

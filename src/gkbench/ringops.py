@@ -11,8 +11,11 @@ that is not already a pair of ints (a float, a Decimal, a string).
 A `TermSum` is a finite sum  sum a_k * k  kept as a canonical map `terms`
 {key: nonzero coefficient} over a `parent` (a `PrimeBasis` or a `QAlgebra`).
 The additive group, equality, hashing and the trusted constructor are written
-here once; a subclass adds its validating `__init__`, its product, powers and
-inverse, and its rendering.
+here once for `TwistedElem` and `QPoly`.  `MQElem`, whose integer numerators
+share one denominator, overrides all four and keeps from here only the parent
+check, the difference (its own sum of a negation), truth and `repr`.  A
+subclass adds its validating `__init__`, its product, powers and inverse, and
+its rendering.
 """
 
 from __future__ import annotations

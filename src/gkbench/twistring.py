@@ -4,24 +4,26 @@ coefficients and the twisted convolution
 
     (a_x * x)(b_y * y) = a_x * twist_x(b_y) * xy.
 
-A product is one integer accumulation: with each side's numerators over its
-common denominator, every term pair adds c * d * pp[s & t] into the
-{mask: int} numerators of xy, for the terms c*sqrt(p_s) of a_x and
-d*sqrt(p_t) of twist_x(b_y); each xy that does not cancel becomes one MQElem
-at the end.  twist_x is skipped when x has no odd exponent, as it then
-changes nothing.  The group is abelian (exponents add), so a commutator makes
-the same one pass, subtracting b_y * twist_y(a_x) at yx = xy.
+A product is one integer accumulation over the product's denominator, the
+least common denominator of the left side's coefficients times that of the
+right side's: every term pair adds f * c * d * pp[s & t] into the
+{mask: int} numerators of xy, for the numerators c*sqrt(p_s) of a_x and
+d*sqrt(p_t) of twist_x(b_y) and the integer f that carries their two
+denominators onto the product's; each xy that does not cancel becomes one
+MQElem at the end.  twist_x is skipped when x has no odd exponent, as it
+then changes nothing.  A commutator is two products and a difference.
 
 Only finite supports are represented here; everything the package verifies
 about the construction reduces to finite data.  Centrality can be decided
 two ways: structurally (support made of squares, rational coefficients) or
 by commutation against the generators up to a caller-supplied index bound.
 The commutation sweep reads each probe's bracket term by term: a one-term
-probe d*g sends distinct terms c*x to distinct xg, so each coefficient
+probe d*g sends distinct terms c*x to distinct xg (exponents add, so the
+group is abelian and gx = xg), so each coefficient
 c * twist_x(d) - d * twist_g(c) is accumulated over c's own denominator by
-the same term-pair law, and the sweep stops at the first nonzero one.  It
-builds no probe, rescaled coefficient or bracket, and charges the budget
-exactly what the 2m commutators it stands for charge.
+the same term-pair law, with f = -1 for the second product, and the sweep
+stops at the first nonzero one.  It builds no probe, coefficient or bracket,
+and charges the budget exactly what the 2m commutators it stands for charge.
 
 An element is a `ringops.TermSum` over its `PrimeBasis`, keyed by group
 elements, so the sum, negation, equality and hashing are the ones `MQElem`
@@ -92,7 +94,25 @@ class TwistedElem(TermSum):
     # --- ring operations --------------------------------------------------------
 
     def __mul__(self, other):
-        return _convolve(self, other) if isinstance(other, TwistedElem) else NotImplemented
+        """The twisted convolution (see the module docstring), charged one op
+        per term pair."""
+        if not isinstance(other, TwistedElem):
+            return NotImplemented
+        self._check(other)
+        budget.charge(len(self.terms) * len(other.terms))
+        parent, pp = self.parent, self.parent.pp
+        da = lcm(*(c.den for c in self.terms.values()))
+        db = lcm(*(d.den for d in other.terms.values()))
+        out = {}
+        for x, c in self.terms.items():
+            cs, fc = c.terms.items(), da // c.den
+            for y, d in other.terms.items():
+                right = (x.twist(d) if x._odd else d).terms.items()
+                _accumulate(out.setdefault(x * y, {}), cs, right, pp, fc * (db // d.den))
+        make, den = MQElem._make, da * db
+        return TwistedElem._make(
+            parent, {z: make(parent, acc, den) for z, acc in out.items() if any(acc.values())}
+        )
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, TwistedElem.one(self.parent))
@@ -114,7 +134,7 @@ class TwistedElem(TermSum):
     def commutator(self, other: "TwistedElem") -> "TwistedElem":
         if not isinstance(other, TwistedElem):
             raise TypeError("commutator needs a TwistedElem")
-        return _convolve(self, other, commute=True)
+        return self * other - other * self
 
     # --- the two centrality tests -------------------------------------------------
 
@@ -160,7 +180,7 @@ class TwistedElem(TermSum):
                 for x, c in terms:
                     acc = {}
                     _accumulate(acc, c.items(), (_flipped(d, x) if x else d).items(), pp)
-                    _accumulate(acc, d.items(), (_flipped(c, g) if g else c).items(), pp, True)
+                    _accumulate(acc, d.items(), (_flipped(c, g) if g else c).items(), pp, -1)
                     if any(acc.values()):
                         return False
         return True
@@ -174,59 +194,13 @@ class TwistedElem(TermSum):
         )
 
 
-def _common(terms: dict):
-    """(den, {g: c'}) for the least common denominator den of the
-    coefficients, where c'.terms are c's numerators over den: c itself, or
-    c rescaled into an MQElem of denominator 1, which nothing reduces."""
-    if len(terms) == 1:
-        (c,) = terms.values()
-        return c.den, terms
-    den = lcm(*(c.den for c in terms.values()))
-    scaled = {}
-    for g, c in terms.items():
-        f = den // c.den
-        scaled[g] = c if f == 1 else MQElem._make(c.parent, {s: v * f for s, v in c.terms.items()})
-    return den, scaled
-
-
-def _accumulate(acc: dict, left, right, pp, negate: bool = False) -> None:
-    """Add u * v * pp[s & t] into acc[s ^ t], or subtract it if `negate`, for
-    every term u*sqrt(p_s) of `left` and v*sqrt(p_t) of `right`, both given as
-    (mask, numerator) pairs: the numerators of their product."""
+def _accumulate(acc: dict, left, right, pp, scale: int = 1) -> None:
+    """Add scale * u * v * pp[s & t] into acc[s ^ t] for every term
+    u*sqrt(p_s) of `left` and v*sqrt(p_t) of `right`, both given as (mask,
+    numerator) pairs: the numerators of their product, times scale."""
     get = acc.get
     for t, v in right:
-        if negate:
-            v = -v
+        v *= scale
         for s, u in left:
             k = s ^ t
             acc[k] = get(k, 0) + u * v * pp[s & t]
-
-
-def _convolve(a: TwistedElem, b: TwistedElem, commute: bool = False) -> TwistedElem:
-    """a*b, or a*b - b*a if `commute` (see the module docstring), charged
-    one op per term pair of each product."""
-    a._check(b)
-    pairs = len(a.terms) * len(b.terms)
-    budget.charge(pairs)
-    if commute:
-        budget.charge(pairs)  # as two products, so an exhausted budget reads the same
-    parent = a.parent
-    if not (a.terms and b.terms):
-        return TwistedElem._make(parent, {})
-    make, pp = MQElem._make, parent.pp
-    (da, sa), (db, sb) = _common(a.terms), _common(b.terms)
-    out = {}
-    for x, c in sa.items():
-        cs = c.terms.items()
-        for y, d in sb.items():
-            z = x * y
-            acc = out.get(z)
-            if acc is None:
-                acc = out[z] = {}
-            _accumulate(acc, cs, (x.twist(d) if x._odd else d).terms.items(), pp)
-            if commute:
-                _accumulate(acc, d.terms.items(), (y.twist(c) if y._odd else c).terms.items(), pp, True)
-    den = da * db
-    return TwistedElem._make(
-        parent, {z: make(parent, acc, den) for z, acc in out.items() if any(acc.values())}
-    )

@@ -111,9 +111,12 @@ def test_a_field_past_the_budget_exits_2_promptly(options):
 # A basis of 200000 primes, or one sized from the index 10^20, is refused
 # once its trial division, charged per candidate, passes the default cap
 # (about 1 s); an odd exponent at that index is refused before its
-# odd-exponent mask, a bit per index, is built.
+# odd-exponent mask, a bit per index, is built; 4^n binary parts of the
+# gamma model, and a trial division of 10^18 + 3 at t = 0, are refused
+# before 4^n is formed or 10^18 + 3 is trial-divided.
 _EXHAUSTED = "error: operation budget exhausted: "
 _ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its mask of "
+_PARTS = "error: the count of 4^{} binary parts exceeds the operation budget "
 
 
 @pytest.mark.parametrize(
@@ -123,6 +126,12 @@ _ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its 
         (("eval", "--context", "twisted", "x99999999999999999999"), _EXHAUSTED),
         (("eval", "--context", "group", "x99999999999999999999"), _ODD_INDEX),
         (("gamma", "coeff", "--power", "1", "x99999999999999999999^-1"), _ODD_INDEX),
+        (("gamma", "growth", "--n", "1000000000"), _PARTS.format(1000000000)),
+        (("gamma", "growth", "--n", "100000"), _PARTS.format(100000)),
+        (("gamma", "growth", "--n", "1000"), _PARTS.format(1000)),
+        (("verify", "step8", "--n", "100000"), _PARTS.format(100000)),
+        (("quantum", "nf", "--n", "2", "--p", "1000000000000000003", "--t", "0", "x1"),
+         "error: trial division of 1000000000000000003 (500000001 candidates) exceeds "),
     ],
 )
 def test_work_sized_by_a_huge_count_or_index_exits_2_promptly(argv, message):

@@ -6,6 +6,7 @@ import itertools
 import json
 from math import comb, factorial
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -51,6 +52,27 @@ def test_rn_dim_charges_the_binary_parts():
     for pairs in range(6):
         for degree in (0, 1, 2 * pairs, 3 * pairs + 5):
             assert charged(rn_dim, pairs, degree)[1] == 4**pairs
+
+
+def test_rn_dim_past_the_cap_is_refused_from_its_bit_length():
+    # 4**pairs past the cap is refused, charging nothing, before it is formed
+    saved = budget.cap()
+    try:
+        for cap in (15, 16, 63, 64):
+            budget.set_cap(cap)
+            for pairs in range(4):
+                if 4**pairs <= cap:
+                    assert charged(rn_dim, pairs, 3)[1] == 4**pairs
+                else:
+                    refusal = rf"^the count of 4\^{pairs} binary parts exceeds the operation budget {cap} "
+                    with pytest.raises(budget.WorkBudgetExceeded, match=refusal):
+                        charged(rn_dim, pairs, 3)
+                    assert budget.used() == 0
+        budget.set_cap(budget.DEFAULT_CAP)
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"^the count of 4\^1000000000 binary"):
+            rn_dim(10**9, 2 * 10**9)
+    finally:
+        budget.set_cap(saved)
 
 
 # --- closed forms against independent counts -----------------------------------------

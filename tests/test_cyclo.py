@@ -46,6 +46,16 @@ def test_a_field_past_the_budget_is_refused_without_a_charge():
         with pytest.raises(budget.WorkBudgetExceeded, match=r"at least 2\^1999999999 .* 8 "):
             CycField(2, 10**9)
         assert CycField(5, 0).degree == 1
+        # at any t, a p whose trial division tests more than 8 candidates,
+        # such as 10^18 + 3 at 5 * 10^8; tower_check's level-2 field of it
+        # is refused from its degree
+        assert CycField(241, 0).degree == 1  # isqrt(241)//2 + 1 = 8
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"^trial division of 257 \(9 candidates\) .* 8 "):
+            CycField(257, 0)
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"^trial division of 10{17}3 \(500000001 "):
+            CycField(10**18 + 3, 0)
+        with pytest.raises(budget.WorkBudgetExceeded, match=r"^field degree at least 2\^177 "):
+            tower_check(10**18 + 3, 1)
         assert budget.used() == used
     finally:
         budget.set_cap(saved)
@@ -92,6 +102,8 @@ def test_tower_checks():
     assert tower_check(2, 2)
     with pytest.raises(ValueError):
         tower_check(2, 0)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        tower_check(4, 1)
 
 
 def _evaluate(poly, point, modulus):

@@ -94,12 +94,27 @@ def test_names_follow_rebinding_in_the_submodule(monkeypatch):
     assert gkbench.normal_form is sentinel
 
 
+def test_a_submodule_loaded_by_name_shows_in_the_import_profile():
+    """`-X importtime` reports a submodule first reached through the package
+    namespace, as it reports `import gkbench.mqfield`."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import gkbench; gkbench.PrimeBasis"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    profiled = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "gkbench.mqfield" in profiled
+
+
 def test_a_loaded_submodule_is_read_without_importing(monkeypatch):
+    import builtins
+
     from gkbench import qaffine
 
     calls = []
-    real = importlib.import_module
-    monkeypatch.setattr(importlib, "import_module", lambda *args: calls.append(args) or real(*args))
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__", lambda *args, **kw: calls.append(args) or real(*args, **kw))
     assert gkbench.QAlgebra is qaffine.QAlgebra
     assert gkbench.QAlgebra is qaffine.QAlgebra
     assert calls == []

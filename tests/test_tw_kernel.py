@@ -191,9 +191,8 @@ def test_a_commutator_can_cancel_at_one_group_element_and_not_another():
 
 def test_central_elements_commute_with_every_sweep_probe(monkeypatch):
     """Each probe the commutation sweep uses, sqrt(p_i) at e and x_i, gives
-    TwistedElem.zero; over one common denominator no MQElem is built.  The
-    sweep builds no MQElem at all, so its count cannot grow with the
-    element's terms or its mix of denominators."""
+    TwistedElem.zero.  The sweep builds no MQElem at all, so its count
+    cannot grow with the element's terms or its mix of denominators."""
     rng = random.Random(18)
     built = []
     make = MQElem._make.__func__
@@ -212,9 +211,6 @@ def test_central_elements_commute_with_every_sweep_probe(monkeypatch):
             assert built == []
             for probe in probes:
                 for left, right in ((central, probe), (probe, central)):
-                    built.clear()
-                    left.commutator(right)
-                    assert not (common and built)
                     assert assert_commutator(left, right) == TwistedElem.zero(basis)
     assert mixed  # some sweeps above read coefficients over different denominators
 
