@@ -10,9 +10,11 @@ compare it directly.  A rational input is read as an integer pair
 (`ringops.ratio`), and `coeffs` gives the element as {frozenset of indices:
 Fraction}, importing `fractions` only when it is read.
 
-Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)), so a sparse
-product adds x * y * pp[s & t] into out[s ^ t] for every pair of terms
-(`PrimeBasis.pp` memoises p_S).  A dense one applies, per radical p,
+Products.  sqrt(p_S) * sqrt(p_T) = p_(S & T) * sqrt(p_(S ^ T)): the pair
+law, written once in `_accumulate`, adds x * y * p_(S & T) into out[S ^ T]
+for every pair of terms (`PrimeBasis.pp` memoises p_S); sparse products and
+inverse norms here, and `twistring`'s products and sweep, all run on it.  A
+dense product applies, per radical p,
 (u + v*sqrt(p))(w + z*sqrt(p)) = (uw + p*vz) + ((u+v)(w+z) - uw - vz)*sqrt(p):
 over radicals 1..k, 2^k numerators expand to 3^k values, (u, v, u+v) along
 each radical, and the 3^k pointwise products fold back by (m1, m2, m3) ->
@@ -26,8 +28,8 @@ N = u^2 - v^2*p_k inverted in the subfield, down to a rational.  A level of
 t terms with t^2 >= 2 * 3^j stays in the transform: u, v expand to U, V, N's
 numerators over den^2 fold from U*U - p_k*V*V, N^-1 expands to W, and U*W,
 -V*W fold to the halves over den * den(N^-1), the upper one at mask | bit.
-Sparser levels take the products, so t^2 bounds the lists (no 3^63 slots
-for 64 primes).
+A sparser level sums N over den^2 by the pair law and makes one product,
+the conjugate times N^-1, so t^2 bounds the lists (no 3^63 for 64 primes).
 
 Automorphisms.  f_i negates sqrt(p_i) and fixes every other generator, so it
 negates the terms whose mask has bit i-1 set.  An element is fixed by all of
@@ -104,6 +106,20 @@ def _flipped(terms: dict, mask: int) -> dict:
     return {s: -c if (s & mask).bit_count() & 1 else c for s, c in terms.items()}
 
 
+def _accumulate(acc: dict, left, right, pp, scale: int = 1) -> dict:
+    """The pair law: add scale * u * v * p_(s & t) into acc[s ^ t] for every
+    term u*sqrt(p_s) of `left` and v*sqrt(p_t) of `right`, both (mask,
+    numerator) pairs, and return acc: the numerators of their product, times
+    scale, added in."""
+    get = acc.get
+    for t, v in right:
+        v *= scale
+        for s, u in left:
+            k = s ^ t
+            acc[k] = get(k, 0) + u * v * pp[s & t]
+    return acc
+
+
 class _PrimeProducts(dict):
     """{mask: product of the primes whose bits are set}, filled on first use."""
 
@@ -138,10 +154,14 @@ class PrimeBasis:
 
     @classmethod
     def first(cls, n: int) -> "PrimeBasis":
-        """The basis made of the first n primes (n >= 0)."""
+        """The basis made of the first n primes (n >= 0).  `first_primes` has
+        tested each of them, so the constructor's checks are skipped."""
         if n < 0:
             raise ValueError(f"a basis needs a nonnegative number of primes, got {n}")
-        return cls(first_primes(n))
+        basis = object.__new__(cls)
+        basis.primes = first_primes(n)
+        basis.pp = _PrimeProducts(basis.primes)
+        return basis
 
     def __len__(self):
         return len(self.primes)
@@ -285,14 +305,7 @@ class MQElem(TermSum):
             top = max(max(a), max(b)).bit_length()
             if 2 * pairs >= 3 * 3**top:
                 return MQElem._make(self.parent, _three_products(a, b, top, self.parent.primes), den)
-        pp = self.parent.pp
-        out = {}
-        get = out.get
-        for s, x in a.items():
-            for t, y in b.items():
-                k = s ^ t
-                out[k] = get(k, 0) + x * y * pp[s & t]
-        return MQElem._make(self.parent, out, den)
+        return MQElem._make(self.parent, _accumulate({}, a.items(), b.items(), self.parent.pp), den)
 
     def __pow__(self, exponent: int):
         return charged_power(self, exponent, self.parent.one())
@@ -335,10 +348,11 @@ class MQElem(TermSum):
         if dense:
             # x, y, z are the docstring's U, V, W
             primes, x, y = basis.primes[:j], _expand(u, j), _expand(v, j)
-            norm = MQElem._make(basis, _fold([a * a - p * b * b for a, b in zip(x, y)], primes), den * den)
-        else:
-            u, v = MQElem._make(basis, u, den), MQElem._make(basis, v, den)
-            norm = u * u - v * v * MQElem._make(basis, {0: p})
+            norm = _fold([a * a - p * b * b for a, b in zip(x, y)], primes)
+        else:  # N = u*u - p*v*v over den^2
+            norm = _accumulate({}, u.items(), u.items(), basis.pp)
+            _accumulate(norm, v.items(), v.items(), basis.pp, -p)
+        norm = MQElem._make(basis, norm, den * den)
         if not norm:
             # impossible for a nonzero element of a field; guarded anyway
             raise ArithmeticError("conjugate norm vanished for a nonzero element")

@@ -38,7 +38,9 @@ class QAlgebra:
     the field's zeta, the class of X modulo the m-th cyclotomic polynomial,
     so it is primitive by construction (the `tower` campaign checks that
     order); products apply it as index shifts, so an algebra holds nothing
-    more, and building one charges nothing."""
+    more.  Building one charges nothing, but a generator count past the work
+    budget's cap is refused before any monomial is formed, as each holds n
+    exponents (`cyclo._check_field` refuses a field degree so)."""
 
     __slots__ = ("n", "field")
 
@@ -46,6 +48,9 @@ class QAlgebra:
         n = int(n)
         if n < 1:
             raise ValueError("need at least one generator")
+        limit = budget.cap()
+        if limit is not None and n > limit:
+            budget.refuse(f"generator count {n} (exponents per monomial)")
         self.n = n
         self.field = field
 
@@ -202,7 +207,8 @@ class QPoly(TermSum):
             return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
-        budget.charge(max(1, len(a) * len(b)))
+        # O(n) work per pair: charged by the exponent width in 64-entry words
+        budget.charge(max(1, len(a) * len(b)) * ((self.parent.n - 1) // 64 + 1))
         if len(a) * len(b) <= 1:
             if not a or not b:
                 return QPoly._make(self.parent, {})

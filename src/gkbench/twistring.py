@@ -6,7 +6,8 @@ coefficients and the twisted convolution
 
 A product is one integer accumulation over the product's denominator, the
 least common denominator of the left side's coefficients times that of the
-right side's: every term pair adds f * c * d * pp[s & t] into the
+right side's: every term pair goes through the field's pair law,
+`mqfield._accumulate`, which adds f * c * d * p_(s & t) into the
 {mask: int} numerators of xy, for the numerators c*sqrt(p_s) of a_x and
 d*sqrt(p_t) of twist_x(b_y) and the integer f that carries their two
 denominators onto the product's; each xy that does not cancel becomes one
@@ -21,7 +22,7 @@ The commutation sweep reads each probe's bracket term by term: a one-term
 probe d*g sends distinct terms c*x to distinct xg (exponents add, so the
 group is abelian and gx = xg), so each coefficient
 c * twist_x(d) - d * twist_g(c) is accumulated over c's own denominator by
-the same term-pair law, with f = -1 for the second product, and the sweep
+the same `_accumulate`, with f = -1 for the second product, and the sweep
 stops at the first nonzero one.  It builds no probe, coefficient or bracket,
 and charges the budget exactly what the 2m commutators it stands for charge.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .mqfield import MQElem, PrimeBasis, _flipped
+from .mqfield import MQElem, PrimeBasis, _accumulate, _flipped
 from .ordgroup import GroupElem
 from .ringops import TermSum, charged_power, render_terms
 from . import budget
@@ -178,8 +179,7 @@ class TwistedElem(TermSum):
                 budget.charge(size)
                 budget.charge(size)
                 for x, c in terms:
-                    acc = {}
-                    _accumulate(acc, c.items(), (_flipped(d, x) if x else d).items(), pp)
+                    acc = _accumulate({}, c.items(), (_flipped(d, x) if x else d).items(), pp)
                     _accumulate(acc, d.items(), (_flipped(c, g) if g else c).items(), pp, -1)
                     if any(acc.values()):
                         return False
@@ -192,15 +192,3 @@ class TwistedElem(TermSum):
             (str(self.terms[g]), "" if g.is_identity() else str(g))
             for g in sorted(self.terms)  # GroupElem.__lt__: the group's total order
         )
-
-
-def _accumulate(acc: dict, left, right, pp, scale: int = 1) -> None:
-    """Add scale * u * v * pp[s & t] into acc[s ^ t] for every term
-    u*sqrt(p_s) of `left` and v*sqrt(p_t) of `right`, both given as (mask,
-    numerator) pairs: the numerators of their product, times scale."""
-    get = acc.get
-    for t, v in right:
-        v *= scale
-        for s, u in left:
-            k = s ^ t
-            acc[k] = get(k, 0) + u * v * pp[s & t]

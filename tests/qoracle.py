@@ -15,8 +15,9 @@ def crossings(e, f) -> int:
 
 def q_mul(a: QPoly, b: QPoly) -> QPoly:
     """a * b from x^e * x^f = q^(-crossings(e, f)) * x^(e+f), charging the
-    budget one op per term pair (at least one), as the product does."""
-    budget.charge(max(1, len(a.terms) * len(b.terms)))
+    budget one op per term pair (at least one) and 64-entry word of an
+    exponent vector, as the product does."""
+    budget.charge(max(1, len(a.terms) * len(b.terms)) * ((a.parent.n - 1) // 64 + 1))
     out = {}
     for e, x in a.terms.items():
         for f, y in b.terms.items():

@@ -52,12 +52,12 @@ def test_deep_nesting_exits_2_with_one_line():
     assert proc.stderr.splitlines() == ["error: 1:201: parentheses nested deeper than 200 levels"]
 
 
-def _cli(*argv, **env):
+def _cli(*argv, preexec_fn=None, **env):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, "-m", "gkbench.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
     )
 
 
@@ -113,10 +113,21 @@ def test_a_field_past_the_budget_exits_2_promptly(options):
 # (about 1 s); an odd exponent at that index is refused before its
 # odd-exponent mask, a bit per index, is built; 4^n binary parts of the
 # gamma model, and a trial division of 10^18 + 3 at t = 0, are refused
-# before 4^n is formed or 10^18 + 3 is trial-divided.
+# before 4^n is formed or 10^18 + 3 is trial-divided; a quantum algebra of
+# more generators than the cap, before a monomial of that many exponents.
 _EXHAUSTED = "error: operation budget exhausted: "
 _ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its mask of "
 _PARTS = "error: the count of 4^{} binary parts exceeds the operation budget "
+_WIDTH = "error: generator count {} (exponents per monomial) exceeds the operation budget "
+
+
+def _limit_address_space():
+    """Cap a child's address space at 2 GiB: a request that sizes a list from
+    a huge count (10^9 exponents is about 8 GB) then fails at once instead of
+    filling the machine's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 @pytest.mark.parametrize(
@@ -132,11 +143,16 @@ _PARTS = "error: the count of 4^{} binary parts exceeds the operation budget "
         (("verify", "step8", "--n", "100000"), _PARTS.format(100000)),
         (("quantum", "nf", "--n", "2", "--p", "1000000000000000003", "--t", "0", "x1"),
          "error: trial division of 1000000000000000003 (500000001 candidates) exceeds "),
+        (("quantum", "nf", "--n", "1000000000", "x1"), _WIDTH.format(1000000000)),
+        (("eval", "--context", "quantum", "--n", "1000000000", "x1"), _WIDTH.format(1000000000)),
+        (("quantum", "nf", "--n", str(2**80), "x1"), _WIDTH.format(2**80)),
+        (("quantum", "hom-check", "--n", str(2**80)), _WIDTH.format(2**80)),
+        (("eval", "--context", "quantum", "x99999999999999999999"), _WIDTH.format(99999999999999999999)),
     ],
 )
 def test_work_sized_by_a_huge_count_or_index_exits_2_promptly(argv, message):
     start = time.perf_counter()
-    proc = _cli(*argv, WORKBENCH_MAX_OPS=str(budget.DEFAULT_CAP))
+    proc = _cli(*argv, preexec_fn=_limit_address_space, WORKBENCH_MAX_OPS=str(budget.DEFAULT_CAP))
     assert time.perf_counter() - start < 20
     assert proc.returncode == 2
     assert proc.stdout == ""

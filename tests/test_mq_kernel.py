@@ -342,6 +342,13 @@ def test_the_inverse_switches_route_at_the_rule():
                 assert len(a.terms) == t and max(a.terms).bit_length() == j + 1
                 _, levels = assert_inverse(a)
                 assert (j in levels) is (t == least), (j, t, uppers)
+                # a sparse level makes one product, the conjugate times N^-1
+                with (
+                    mock.patch.object(MQElem, "__mul__", autospec=True, side_effect=MQElem.__mul__) as products,
+                    mock.patch.object(MQElem, "inv", autospec=True, side_effect=MQElem.inv) as inverses,
+                ):
+                    a.inv()
+                assert products.call_count == inverses.call_count - 1 - len(set(levels)), (j, t, uppers)
 
 
 def test_an_inverse_over_sixty_four_primes_stays_on_the_products():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gkbench import mqfield
 from gkbench.mqfield import MQElem, PrimeBasis, first_primes, is_prime
 from gkbench.sampling import random_mq
 
@@ -31,6 +32,17 @@ mq_st = st.builds(
 def test_first_primes():
     assert first_primes(5) == (2, 3, 5, 7, 11)
     assert is_prime(97) and not is_prime(91) and not is_prime(1)
+
+
+def test_a_first_basis_tests_each_candidate_once(monkeypatch):
+    """`first_primes` tests each candidate, and `first` builds its basis from
+    them without testing again: the six primes up to 13 take twelve tests."""
+    tested = []
+    monkeypatch.setattr(mqfield, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    basis = PrimeBasis.first(6)
+    assert tested == list(range(2, 14))
+    monkeypatch.undo()
+    assert basis == PrimeBasis((2, 3, 5, 7, 11, 13)) and basis.pp[0b110101] == 2 * 5 * 11 * 13
 
 
 def test_basis_validation():

@@ -97,6 +97,21 @@ def test_cancelled_terms_are_dropped(alg, top, data):
     assert_lowest_terms(product)
 
 
+@pytest.mark.parametrize("n, words", [(64, 1), (65, 2)])
+def test_a_product_is_charged_by_its_exponent_width_in_words(n, words):
+    """A term pair works on n exponents, so it is charged (n - 1)//64 + 1
+    ops: as before up to n = 64, twice that from n = 65 on."""
+    alg = QAlgebra(n, FIELDS[(2, 1)])
+    a = alg.generator(1) + alg.generator(n)
+    b = alg.one() + alg.generator(2) + alg.generator(n, 2)
+    for x, y, pairs in ((a, b, 6), (b, a, 6), (a, a, 4), (b, b, 9), (alg.generator(n), a, 2)):
+        product, ops = charged(QPoly.__mul__, x, y)
+        assert ops == pairs * words
+        assert (product, ops) == charged(q_mul, x, y)
+    assert charged(QPoly.__mul__, alg.generator(1), alg.generator(n))[1] == words
+    assert charged(QPoly.__mul__, alg.zero(), a)[1] == words
+
+
 def assert_square_matches_the_oracle(a):
     """a * a makes one big-int product per unordered pair of terms and adds
     it at both orders' shifts; it must equal the per-pair oracle and charge
