@@ -4,7 +4,9 @@ The cap is read from the WORKBENCH_MAX_OPS environment variable on first
 use (default 10**8 primitive term operations); a value that is not an
 integer raises ValueError naming the variable.  Heavy loops charge the
 counter in coarse chunks; exceeding the cap raises WorkBudgetExceeded
-instead of letting a runaway enumeration eat the machine.
+instead of letting a runaway enumeration eat the machine.  Work sized
+before it starts is admitted instead (`admit`, `admit_bits`), refused past
+the cap at no charge; no other module compares work with the cap.
 """
 
 import os
@@ -72,7 +74,17 @@ def charge(n=1):
         raise WorkBudgetExceeded(f"operation budget exhausted: {_used} > {limit} {_RAISE}")
 
 
-def refuse(what: str):
-    """Raise WorkBudgetExceeded for work the cap cannot cover, told before it
-    starts: `what` (say, "field degree 20") exceeds the operation budget."""
-    raise WorkBudgetExceeded(f"{what} exceeds the operation budget {cap()} {_RAISE}")
+def admit(cost: int, what: str) -> None:
+    """Refuse work of `cost` ops past the cap before it starts: `what` (say,
+    "field degree 20") exceeds the operation budget.  Charges nothing."""
+    limit = cap()
+    if limit is not None and cost > limit:
+        raise WorkBudgetExceeded(f"{what} exceeds the operation budget {limit} {_RAISE}")
+
+
+def admit_bits(bits: int, what: str) -> None:
+    """`admit` for a cost too large to form, known to be at least 2**bits:
+    refused exactly when 2**bits exceeds the cap (a cap of 0 or more)."""
+    limit = cap()
+    if limit is not None and bits >= limit.bit_length():
+        admit(limit + 1, what)  # a cost past the cap, refused in admit's words

@@ -33,6 +33,9 @@ and a**-1 = r * (a*r)**-1.
 The degenerate level t = 0 (the rationals, zeta = 1, modulus X - 1) is
 admitted so that maps out of the commutative base algebra can be checked
 with the same machinery.
+
+A field admits its degree (each element's coefficient count) and the trial
+division of p to the work budget before it is built, and charges nothing.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from . import budget
 from .budget import words
-from .ringops import charged_power, is_prime, ratio, ratio_text, render_terms
+from .ringops import charged_power, check_prime, ratio, ratio_text, render_terms
 
 
 # --- the integer kernel ------------------------------------------------------------
@@ -218,28 +221,6 @@ def _lone(nums) -> int:
     return next(i for i, c in enumerate(nums) if c)
 
 
-def _check_field(p: int, t: int) -> None:
-    """Refuse a field the work budget's cap cannot cover: one whose degree
-    (p-1)*p**(2t-1) exceeds it, as every element holds that many
-    coefficients, or, at any t, a p whose trial division, isqrt(p)//2 + 1
-    candidates, would test more than the cap.  A hopeless degree is told from
-    the bit lengths, before p**(2t) is formed.  Reads the cap, charges
-    nothing."""
-    limit = budget.cap()
-    if limit is None:
-        return
-    if t:
-        bits = (p.bit_length() - 1) * (2 * t - 1)  # degree >= 2**bits
-        if bits > limit.bit_length():
-            budget.refuse(f"field degree at least 2^{bits}")
-        degree = (p - 1) * p ** (2 * t - 1)
-        if degree > limit:
-            budget.refuse(f"field degree {degree}")
-    candidates = isqrt(max(p, 0)) // 2 + 1
-    if candidates > limit:
-        budget.refuse(f"trial division of {p} ({candidates} candidates)")
-
-
 class CycField:
     """Q(zeta) with zeta a primitive p**(2t)-th root of unity: its (p, t) and
     its chain of levels, not its modulus, so building one takes O(t)."""
@@ -251,9 +232,12 @@ class CycField:
         t = int(t)
         if t < 0:
             raise ValueError("tower level must be nonnegative")
-        _check_field(p, t)  # first: a p past the budget is never trial-divided
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if t:  # each element holds (p-1)*p**(2t-1) >= 2**bits coefficients
+            bits = (p.bit_length() - 1) * (2 * t - 1)
+            budget.admit_bits(bits, f"field degree at least 2^{bits}")
+            degree = (p - 1) * p ** (2 * t - 1)
+            budget.admit(degree, f"field degree {degree}")
+        check_prime(p)
         self.p = p
         self.t = t
         self.m = p ** (2 * t)

@@ -11,9 +11,9 @@ form as an independent oracle.  The independence witness charges the
 budget for its whole matrix before building it, and the `step4` campaign
 reads its verdicts from that matrix.
 
-The monomial count `rn_dim` is a closed form too.  It charges the work
-budget one op per binary part it counts (4**pairs), as the listing it
-replaced did; the test suite keeps that listing as its oracle.
+The monomial count `rn_dim` is a closed form too.  It admits its 4**pairs
+binary parts from the exponent, then charges one op per part, as the listing
+it replaced did; the test suite keeps that listing as its oracle.
 """
 
 from __future__ import annotations
@@ -146,15 +146,12 @@ def rn_dim(pairs: int, degree: int) -> int:
     with binary e, u (squares of the radicals and of the group generators are
     central scalars) and total weight a + |e| + |u| <= degree.  Closed form:
     C(2n, w) binary parts have weight w, each admitting the gamma exponents
-    0..degree-w.  The budget is charged for the 4**pairs binary parts counted;
-    a count past the cap is told from its bit length, before 4**pairs is
-    formed.
+    0..degree-w.  The budget is charged for the 4**pairs binary parts counted,
+    admitted from its bit length before 4**pairs is formed.
     """
     if pairs < 0 or degree < 0:
         raise ValueError("pairs and degree must be nonnegative")
-    limit = budget.cap()
-    if limit is not None and 2 * pairs >= limit.bit_length():  # 4**pairs > limit
-        budget.refuse(f"the count of 4^{pairs} binary parts")
+    budget.admit_bits(2 * pairs, f"the count of 4^{pairs} binary parts")
     budget.charge(4**pairs)
     return sum(
         comb(2 * pairs, w) * (degree - w + 1) for w in range(min(2 * pairs, degree) + 1)

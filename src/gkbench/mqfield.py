@@ -47,22 +47,23 @@ operations pure.
 from __future__ import annotations
 
 from itertools import repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, attrgetter, mul
 
 from . import budget
 from .budget import words
-from .ringops import TermSum, charged_power, is_prime, ratio, ratio_text, render_terms
+from .ringops import (TermSum, charged_power, check_prime, is_prime, ratio, ratio_text,
+                      render_terms, trial_divisions)
 
 
 def first_primes(count: int) -> tuple[int, ...]:
-    """The first `count` primes, by trial division.  Each candidate c is
-    charged its trial-division bound, isqrt(c)//2 + 1 ops, before it is
-    tested, so a basis past the work budget is refused, not ground out."""
+    """The first `count` primes, by trial division.  Each candidate is
+    charged its `trial_divisions` before it is tested, so a basis past the
+    work budget is refused, not ground out."""
     out = []
     candidate = 2
     while len(out) < count:
-        budget.charge(isqrt(candidate) // 2 + 1)
+        budget.charge(trial_divisions(candidate))
         if is_prime(candidate):
             out.append(candidate)
         candidate += 1
@@ -145,8 +146,7 @@ class PrimeBasis:
     def __init__(self, primes):
         primes = tuple(int(p) for p in primes)
         for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_prime(p)  # a p past the budget's cap is refused untested
         if any(a >= b for a, b in zip(primes, primes[1:])):
             raise ValueError("primes must be strictly increasing with no duplicates")
         self.primes = primes

@@ -8,8 +8,8 @@ live here too: x acts on sqrt(p_i) by the sign (-1)**exponent_i, which makes
 the action of the squares subgroup trivial.  The mask of the odd exponents
 is kept; a product's is the XOR of its factors' masks, and the squares test
 reads it.  The mask spends a bit on every index up to the largest odd one,
-so an odd exponent at an index whose mask outgrows the work budget's cap is
-refused.
+so an odd exponent at index i is admitted to the work budget at the mask's
+i//64 + 1 words before the mask is built.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ if TYPE_CHECKING:
     from .mqfield import MQElem
 
 LT, EQ, GT = -1, 0, 1
-
-
-def _check_index(i: int) -> None:
-    """Refuse an odd exponent at index i when the odd-exponent mask, i bits,
-    holds more 64-bit words (the unit powers are charged in) than the work
-    budget's cap.  Reads the cap and charges nothing."""
-    limit = budget.cap()
-    if limit is not None and i // 64 + 1 > limit:
-        budget.refuse(f"group index {i} with an odd exponent: its mask of {i // 64 + 1} words")
 
 
 class GroupElem:
@@ -52,8 +43,9 @@ class GroupElem:
         odd = 0
         for i, e in clean.items():
             if e & 1:
-                if i >= 64:  # the mask outgrows one word: checked before it is built
-                    _check_index(i)
+                if i >= 64:  # the mask outgrows one word: admitted before it is built
+                    words = i // 64 + 1
+                    budget.admit(words, f"group index {i} with an odd exponent: its mask of {words} words")
                 odd |= 1 << (i - 1)
         self._odd = odd
         self._hash = hash(tuple(sorted(clean.items())))

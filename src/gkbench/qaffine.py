@@ -38,9 +38,9 @@ class QAlgebra:
     the field's zeta, the class of X modulo the m-th cyclotomic polynomial,
     so it is primitive by construction (the `tower` campaign checks that
     order); products apply it as index shifts, so an algebra holds nothing
-    more.  Building one charges nothing, but a generator count past the work
-    budget's cap is refused before any monomial is formed, as each holds n
-    exponents (`cyclo._check_field` refuses a field degree so)."""
+    more.  Building one charges nothing, but it admits its generator count to
+    the work budget before any monomial is formed, as each holds n exponents
+    (a `CycField` admits its degree so)."""
 
     __slots__ = ("n", "field")
 
@@ -48,9 +48,7 @@ class QAlgebra:
         n = int(n)
         if n < 1:
             raise ValueError("need at least one generator")
-        limit = budget.cap()
-        if limit is not None and n > limit:
-            budget.refuse(f"generator count {n} (exponents per monomial)")
+        budget.admit(n, f"generator count {n} (exponents per monomial)")
         self.n = n
         self.field = field
 
@@ -404,7 +402,10 @@ def hom_check(src: QAlgebra, dst: QAlgebra, images: Sequence[QPoly]) -> HomCheck
 
 
 def power_map_images(src: QAlgebra, dst: QAlgebra, exponent: int) -> list[QPoly]:
-    """The candidate map x_i -> x_i**exponent, one image per source generator."""
+    """The candidate map x_i -> x_i**exponent, one image per source generator,
+    its src.n * dst.n exponents admitted to the work budget first."""
     if dst.n < src.n:
         raise ValueError("destination has fewer generators than the source")
+    size = src.n * dst.n
+    budget.admit(size, f"image size {size} ({src.n} generator images of {dst.n} exponents)")
     return [dst.generator(i, exponent) for i in range(1, src.n + 1)]

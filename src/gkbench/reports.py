@@ -5,7 +5,9 @@ Campaigns and subcommands yield untimed records (`record`); `timed` is the
 one place that stamps their `millis`.  Machine format is JSON Lines with
 exactly the keys claim_id, inputs, outputs, verdict, millis (one object per
 line; an empty stream renders as an empty document).  Human format is an
-aligned table.  The record schema is versioned by REPORT_SCHEMA.
+aligned table.  Both write an integer past the interpreter's digit limit in
+full, through `ringops.int_text`; the machine format as a bare JSON number.
+The record schema is versioned by REPORT_SCHEMA.
 """
 
 from __future__ import annotations
@@ -64,19 +66,33 @@ def emit(records, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; pick 'human' or 'machine'")
 
 
+def _json(value) -> str:
+    """json.dumps(value, default=str), writing an int past the interpreter's
+    digit limit, which json.dumps refuses, itself."""
+    try:
+        return json.dumps(value, default=str)
+    except ValueError:
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ", ".join(map(_json, value)) + "]"
+        from .ringops import int_text
+
+        return int_text(value)
+
+
 def emit_machine(records) -> str:
     lines = []
     for rec in records:
         lines.append(
-            json.dumps(
+            _json(
                 {
                     "claim_id": rec.claim_id,
                     "inputs": rec.inputs,
                     "outputs": rec.outputs,
                     "verdict": rec.verdict,
                     "millis": rec.millis,
-                },
-                default=str,
+                }
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
@@ -87,7 +103,12 @@ def _compact(mapping: dict) -> str:
 
 
 def _short(value) -> str:
-    text = str(value)
+    try:
+        text = str(value)
+    except ValueError:  # an int past the digit limit
+        from .ringops import int_text
+
+        text = int_text(value)
     return text if len(text) <= 48 else text[:45] + "..."
 
 

@@ -6,7 +6,8 @@ and `TermSum`, the one sparse-sum core under `MQElem`, `TwistedElem` and
 The kernels hold rationals as integer numerators over a denominator, so a
 rational crosses the value edge as an integer pair: `ratio` reads one in,
 `ratio_text` writes one out, and `fractions` is imported only for an input
-that is not already a pair of ints (a float, a Decimal, a string).
+that is not already a pair of ints (a float, a Decimal, a string).  Integers
+are written by `int_text`, also past the interpreter's digit limit.
 
 A `TermSum` is a finite sum  sum a_k * k  kept as a canonical map `terms`
 {key: nonzero coefficient} over a `parent` (a `PrimeBasis` or a `QAlgebra`).
@@ -20,7 +21,22 @@ its rendering.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
+
+
+def trial_divisions(n: int) -> int:
+    """isqrt(n)//2 + 1, the most candidates `is_prime` tries on n: its cost."""
+    return isqrt(max(n, 0)) // 2 + 1
+
+
+def check_prime(n: int) -> None:
+    """Raise ValueError unless n is prime, its trial division admitted first."""
+    from . import budget  # imported here: `gkbench.is_prime` alone loads only ringops
+
+    cost = trial_divisions(n)
+    budget.admit(cost, f"trial division of {n} ({cost} candidates)")
+    if not is_prime(n):
+        raise ValueError(f"{n} is not prime")
 
 
 def is_prime(n: int) -> bool:
@@ -57,6 +73,19 @@ def ratio(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def int_text(n: int) -> str:
+    """str(n), also past the interpreter's int-to-text digit limit: such an
+    integer is charged its 64-bit words and written through `decimal`."""
+    try:
+        return str(n)
+    except ValueError:  # only the digit limit
+        from decimal import Decimal
+        from . import budget
+
+        budget.charge(budget.words(n))
+        return str(Decimal(n))
+
+
 def ratio_text(num: int, den: int) -> str:
     """num/den as `str(Fraction(num, den))` writes it, den positive:
     reduced, the sign on the numerator, no '/1'."""
@@ -64,7 +93,7 @@ def ratio_text(num: int, den: int) -> str:
     if g != 1:
         num //= g
         den //= g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 
 def power(base, exponent: int, one):

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from math import comb
 from pathlib import Path
 
@@ -363,6 +364,36 @@ def test_integer_past_the_digit_limit_is_a_positioned_parse_error(capsys, expr, 
     limit = sys.get_int_max_str_digits()  # 4300 unless the environment sets it
     message = f"error: 1:{column}: integer of 5000 digits: more than {limit}, the interpreter's limit\n"
     assert (code, out, err) == (2, "", message)
+
+
+# Answers of more digits than the interpreter writes with str (4,300 by
+# default): 2^20000 has 6,021 and C(20000, 10000) 6,019.  The values are
+# compared through Decimal, which has no such limit.
+_PAST_THE_DIGIT_LIMIT = [
+    (("eval", "--context", "field", "2^20000"), "canonical", 2**20000),
+    (("eval", "--context", "twisted", "2^20000"), "canonical", 2**20000),
+    (("quantum", "nf", "--n", "2", "--p", "5", "2^20000"), "normal_form", 2**20000),
+    (("gamma", "coeff", "--power", "20000", "x1^-10000*x2^-10000"), "coefficient", comb(20000, 10000)),
+]
+
+
+@pytest.mark.parametrize("argv, key, value", _PAST_THE_DIGIT_LIMIT,
+                         ids=[" ".join(argv) for argv, _, _ in _PAST_THE_DIGIT_LIMIT])
+def test_exact_answers_past_the_digit_limit(capsys, argv, key, value):
+    digits = str(Decimal(value))
+    code, out, err = run(capsys, *argv, "--format", "machine")
+    assert (code, err) == (0, "")
+    [line] = out.splitlines()
+    assert Decimal(json.loads(line, parse_int=Decimal)["outputs"][key]) == value
+    assert (f'"{key}": {digits}' if key == "coefficient" else f'"{key}": "{digits}"') in line
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and f"{key}={digits[:45]}..." in out
+    budget.set_cap(1000)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        budget.set_cap(budget.DEFAULT_CAP)
+    assert (code, out) == (2, "") and err.startswith("error: operation budget exhausted: ")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -114,11 +114,13 @@ def test_a_field_past_the_budget_exits_2_promptly(options):
 # odd-exponent mask, a bit per index, is built; 4^n binary parts of the
 # gamma model, and a trial division of 10^18 + 3 at t = 0, are refused
 # before 4^n is formed or 10^18 + 3 is trial-divided; a quantum algebra of
-# more generators than the cap, before a monomial of that many exponents.
+# more generators than the cap, before a monomial of that many exponents;
+# and the n power-map images of n exponents each past the cap, before them.
 _EXHAUSTED = "error: operation budget exhausted: "
 _ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its mask of "
 _PARTS = "error: the count of 4^{} binary parts exceeds the operation budget "
 _WIDTH = "error: generator count {} (exponents per monomial) exceeds the operation budget "
+_IMAGES = "error: image size 10000000000 (100000 generator images of 100000 exponents) exceeds "
 
 
 def _limit_address_space():
@@ -148,6 +150,7 @@ def _limit_address_space():
         (("quantum", "nf", "--n", str(2**80), "x1"), _WIDTH.format(2**80)),
         (("quantum", "hom-check", "--n", str(2**80)), _WIDTH.format(2**80)),
         (("eval", "--context", "quantum", "x99999999999999999999"), _WIDTH.format(99999999999999999999)),
+        (("quantum", "hom-check", "--n", "100000", "--p", "2", "--t", "1"), _IMAGES),
     ],
 )
 def test_work_sized_by_a_huge_count_or_index_exits_2_promptly(argv, message):

@@ -75,6 +75,30 @@ def test_rn_dim_past_the_cap_is_refused_from_its_bit_length():
         budget.set_cap(saved)
 
 
+@given(st.one_of(st.none(), st.integers(0, 2**80)), st.data())
+def test_admission_refuses_exactly_past_the_cap_and_charges_nothing(cap, data):
+    # admit(cost) refuses when cost > cap, admit_bits(bits) when 2**bits > cap,
+    # an unset cap (None) admits everything, and neither charges; the draws
+    # cluster at the boundary
+    near = 0 if cap is None else cap
+    cost = data.draw(st.integers(near - 2, near + 2) | st.integers(-5, 2**81))
+    edge = near.bit_length()
+    bits = data.draw(st.integers(max(0, edge - 2), edge + 2) | st.integers(0, 90))
+    saved = budget.cap()
+    budget.set_cap(cap)
+    try:
+        for admit, size, arg in ((budget.admit, cost, cost), (budget.admit_bits, 2**bits, bits)):
+            if cap is not None and size > cap:
+                message = f"^the work exceeds the operation budget {cap} \\(raise WORKBENCH_MAX_OPS "
+                with pytest.raises(budget.WorkBudgetExceeded, match=message):
+                    admit(arg, "the work")
+            else:
+                admit(arg, "the work")
+            assert budget.used() == 0
+    finally:
+        budget.set_cap(saved)
+
+
 # --- closed forms against independent counts -----------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkbench import mqfield
+from gkbench import budget, mqfield
 from gkbench.mqfield import MQElem, PrimeBasis, first_primes, is_prime
 from gkbench.sampling import random_mq
 
@@ -52,6 +52,13 @@ def test_basis_validation():
         PrimeBasis([3, 2])
     with pytest.raises(ValueError):
         PrimeBasis([2, 2])
+    # a prime whose trial division passes the cap is refused untested, at
+    # no charge; 10^18 + 3 would take 5 * 10^8 candidates
+    used = budget.used()
+    with pytest.raises(budget.WorkBudgetExceeded, match=r"^trial division of 10{17}3 \(500000001 candidates\) "):
+        PrimeBasis([2, 10**18 + 3])
+    assert budget.used() == used
+    assert PrimeBasis([2, 3, 5]) == PrimeBasis.first(3)
 
 
 def test_element_rejects_out_of_range_subset():

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves, and importing the
 package loads a submodule only when one of its names is used."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -84,6 +85,23 @@ def test_each_value_loads_only_its_modules(build, loaded):
     assert set(modules.split()) == {f"gkbench.{name}" for name in loaded}
     # values hold integer pairs: no build loads the stdlib's rationals
     assert stdlib.split() == ["stdlib"]
+
+
+def test_only_the_budget_compares_work_with_the_cap():
+    """Work is admitted through `budget.admit` and `budget.admit_bits`: no
+    other module calls `cap()`, but for `cli.main`'s early check of a
+    malformed WORKBENCH_MAX_OPS."""
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted((SRC / "gkbench").glob("*.py")) if path.name != "budget.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "cap"
+    ]
+    cli = ast.parse((SRC / "gkbench" / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    early = [call for call in calls if call[0] == "cli.py" and main.lineno <= call[1] <= main.end_lineno]
+    assert len(early) == 1
+    assert [call for call in calls if call not in early] == []
 
 
 def test_names_follow_rebinding_in_the_submodule(monkeypatch):

@@ -16,6 +16,7 @@ from gkbench.qaffine import (
     QPoly,
     central_power_check,
     dim_Vr,
+    dim_Vr_oracle,
     embed_root,
     gk_profile,
     hom_check,
@@ -136,6 +137,9 @@ def test_dim_examples():
     assert dim_Vr(QAlgebra(1, CycField(2, 1)), 5) == 6
     assert dim_Vr(ALG, 2) == 6
     assert dim_Vr(QAlgebra(3, CycField(2, 1)), 4) == 35
+    for count in (dim_Vr, dim_Vr_oracle):
+        with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+            count(ALG, -1)
 
 
 def test_dim_matches_binomial():
@@ -156,6 +160,11 @@ def test_central_power_examples():
     assert central_power_check(ALG, 1)
     assert not power_is_central(ALG, 1, 2)
     assert power_is_central(QAlgebra(1, CycField(2, 1)), 1, 1)
+    for i in (0, 3):
+        with pytest.raises(IndexError, match=rf"generator index {i} outside 1\.\.2"):
+            power_is_central(ALG, i, 4)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        power_is_central(ALG, 1, -4)
 
 
 def test_central_powers_across_configurations():
@@ -252,6 +261,23 @@ def test_algebras_and_embedded_roots_charge_nothing():
     assert alg.field.zeta * alg.field.zeta.inv() == field.one()
     assert image == field.zeta ** (2**6)
     assert embed_root(CycField(2, 0), field) == field.one()
+    # a generator count, or the exponents of power-map images, past the cap
+    # is refused before anything is built, and charges nothing either
+    saved = budget.cap()
+    budget.set_cap(100)
+    try:
+        assert QAlgebra(100, field).n == 100
+        with pytest.raises(budget.WorkBudgetExceeded,
+                           match=r"^generator count 101 \(exponents per monomial\) exceeds the operation budget 100 "):
+            QAlgebra(101, field)
+        ten = QAlgebra(10, field)
+        assert power_map_images(ten, ten, 2) == [ten.generator(i, 2) for i in range(1, 11)]
+        with pytest.raises(budget.WorkBudgetExceeded,
+                           match=r"^image size 110 \(10 generator images of 11 exponents\) exceeds "):
+            power_map_images(ten, QAlgebra(11, field), 2)
+        assert budget.used() == 0
+    finally:
+        budget.set_cap(saved)
 
 
 def test_building_an_algebra_does_not_grow_with_the_field_degree():
@@ -272,6 +298,8 @@ def test_hom_check_validation():
     other = QAlgebra(2, CycField(2, 2))
     with pytest.raises(ValueError):
         hom_check(ALG, other, [ALG.generator(1), ALG.generator(2)])
+    with pytest.raises(ValueError, match="destination has fewer generators than the source"):
+        power_map_images(QAlgebra(3, ALG.field), ALG, 2)
 
 
 def test_word_validation():
@@ -281,9 +309,26 @@ def test_word_validation():
         ALG.generator(1, -1)
     with pytest.raises(IndexError):
         ALG.generator(0)
+    with pytest.raises(ValueError, match="need at least one generator"):
+        QAlgebra(0, ALG.field)
+    one, foreign = ALG.field.one(), CycField(3, 1).one()
+    with pytest.raises(ValueError, match="exponent vector has length 3, expected 2"):
+        QPoly(ALG, {(1, 0, 0): one})
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        QPoly(ALG, {(1, -1): one})
+    with pytest.raises(ValueError, match="coefficient outside the algebra's field"):
+        QPoly(ALG, {(1, 0): foreign})
+    with pytest.raises(ValueError, match="scalar outside the algebra's field"):
+        ALG.generator(1).scale(foreign)
+    with pytest.raises(ValueError, match="scalar outside the algebra's field"):
+        ALG.word([1], foreign)
 
 
 def test_str_rendering():
     poly = ALG.generator(1, 2) - ALG.generator(2).scale(ALG.field.zeta)
     assert str(poly) == "x1^2 - z*x2"
     assert str(ALG.zero()) == "0"
+    word = ALG.word([2, 1], ALG.field.zeta)
+    assert repr(word) == "FreeWord((z)*x2*x1)" and repr(ALG.word([])) == "FreeWord((1)*1)"
+    assert word == FreeWord(ALG, (2, 1), ALG.field.zeta)
+    assert word != ALG.word([1, 2], ALG.field.zeta) and word != ALG.word([2, 1]) and word != (2, 1)

@@ -1,7 +1,8 @@
 """The shared pow-by-squaring helper and the powers built on it, the
-rational edge (`ratio`, `ratio_text`) against `fractions.Fraction`, and the
-term renderer."""
+rational edge (`ratio`, `ratio_text`) against `fractions.Fraction`, integer
+text past the digit limit (`int_text`), and the term renderer."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gkbench import budget
 from gkbench.mqfield import PrimeBasis
 from gkbench.parser import parse, to_twisted
-from gkbench.ringops import power, ratio, ratio_text, render_terms
+from gkbench.ringops import int_text, power, ratio, ratio_text, render_terms
 
 
 def test_power_helper():
@@ -104,3 +106,18 @@ def test_ratio_refuses_what_fraction_refuses(value):
 @given(st.integers(), st.integers(min_value=1))
 def test_ratio_text_is_the_text_of_the_fraction(num, den):
     assert ratio_text(num, den) == str(Fraction(num, den))
+
+
+def test_int_text_writes_past_the_digit_limit_charging_only_there():
+    # str writes up to the interpreter's limit at no charge; past it, decimal
+    # writes the integer, charged its 64-bit words; the texts are compared
+    # through Decimal, which has no limit
+    limit = sys.get_int_max_str_digits()  # 4300 unless the environment sets it
+    within, past = 10 ** (limit - 1), -(10**limit) - 1
+    for n, charge in ((0, 0), (-7, 0), (within, 0), (past, budget.words(past))):
+        budget.reset()
+        assert Decimal(int_text(n)) == n and budget.used() == charge
+    budget.reset()
+    assert ratio_text(-(2**20000), 2**20001) == "-1/2" and budget.used() == 0
+    num, den = ratio_text(past, 3).split("/")
+    assert Decimal(num) == past and den == "3" and budget.used() == budget.words(past)
