@@ -34,9 +34,14 @@ def check_prime(n: int) -> None:
     from . import budget  # imported here: `gkbench.is_prime` alone loads only ringops
 
     cost = trial_divisions(n)
-    budget.admit(cost, f"trial division of {n} ({cost} candidates)")
+    try:
+        name, what = f"{n}", f"trial division of {n} ({cost} candidates)"
+    except ValueError:  # n past the digit limit is named by its size
+        name = f"a {n.bit_length()}-bit integer"
+        what = f"trial division of {name}"
+    budget.admit(cost, what)
     if not is_prime(n):
-        raise ValueError(f"{n} is not prime")
+        raise ValueError(f"{name} is not prime")
 
 
 def is_prime(n: int) -> bool:
@@ -75,14 +80,15 @@ def ratio(value) -> tuple[int, int]:
 
 def int_text(n: int) -> str:
     """str(n), also past the interpreter's int-to-text digit limit: such an
-    integer is charged its 64-bit words and written through `decimal`."""
+    integer is written through `decimal`, charged the square of its 64-bit
+    words first, as `Decimal(n)` converts it word by word in quadratic time."""
     try:
         return str(n)
     except ValueError:  # only the digit limit
         from decimal import Decimal
         from . import budget
 
-        budget.charge(budget.words(n))
+        budget.charge(budget.words(n) ** 2)
         return str(Decimal(n))
 
 

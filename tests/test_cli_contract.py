@@ -115,7 +115,9 @@ def test_a_field_past_the_budget_exits_2_promptly(options):
 # gamma model, and a trial division of 10^18 + 3 at t = 0, are refused
 # before 4^n is formed or 10^18 + 3 is trial-divided; a quantum algebra of
 # more generators than the cap, before a monomial of that many exponents;
-# and the n power-map images of n exponents each past the cap, before them.
+# the n power-map images of n exponents each past the cap, before them; and
+# a power of 12 million digits, cheap to compute, before its quadratic
+# conversion to decimal text.
 _EXHAUSTED = "error: operation budget exhausted: "
 _ODD_INDEX = "error: group index 99999999999999999999 with an odd exponent: its mask of "
 _PARTS = "error: the count of 4^{} binary parts exceeds the operation budget "
@@ -151,6 +153,7 @@ def _limit_address_space():
         (("quantum", "hom-check", "--n", str(2**80)), _WIDTH.format(2**80)),
         (("eval", "--context", "quantum", "x99999999999999999999"), _WIDTH.format(99999999999999999999)),
         (("quantum", "hom-check", "--n", "100000", "--p", "2", "--t", "1"), _IMAGES),
+        (("eval", "--context", "field", "(2^1000)^40000"), _EXHAUSTED),
     ],
 )
 def test_work_sized_by_a_huge_count_or_index_exits_2_promptly(argv, message):

@@ -57,7 +57,18 @@ def test_basis_validation():
     used = budget.used()
     with pytest.raises(budget.WorkBudgetExceeded, match=r"^trial division of 10{17}3 \(500000001 candidates\) "):
         PrimeBasis([2, 10**18 + 3])
+    # one past the interpreter's digit limit is named by its size, refused
+    # the same way; uncapped, it is found composite (17 divides it)
+    with pytest.raises(budget.WorkBudgetExceeded, match=r"^trial division of a 16610-bit integer exceeds "):
+        PrimeBasis([10**5000 + 1])
     assert budget.used() == used
+    saved = budget.cap()
+    budget.set_cap(None)
+    try:
+        with pytest.raises(ValueError, match=r"^a 16610-bit integer is not prime$"):
+            PrimeBasis([10**5000 + 1])
+    finally:
+        budget.set_cap(saved)
     assert PrimeBasis([2, 3, 5]) == PrimeBasis.first(3)
 
 

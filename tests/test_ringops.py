@@ -110,14 +110,14 @@ def test_ratio_text_is_the_text_of_the_fraction(num, den):
 
 def test_int_text_writes_past_the_digit_limit_charging_only_there():
     # str writes up to the interpreter's limit at no charge; past it, decimal
-    # writes the integer, charged its 64-bit words; the texts are compared
-    # through Decimal, which has no limit
+    # writes the integer, charged the square of its 64-bit words; the texts
+    # are compared through Decimal, which has no limit
     limit = sys.get_int_max_str_digits()  # 4300 unless the environment sets it
     within, past = 10 ** (limit - 1), -(10**limit) - 1
-    for n, charge in ((0, 0), (-7, 0), (within, 0), (past, budget.words(past))):
+    for n, charge in ((0, 0), (-7, 0), (within, 0), (past, budget.words(past) ** 2)):
         budget.reset()
         assert Decimal(int_text(n)) == n and budget.used() == charge
     budget.reset()
     assert ratio_text(-(2**20000), 2**20001) == "-1/2" and budget.used() == 0
     num, den = ratio_text(past, 3).split("/")
-    assert Decimal(num) == past and den == "3" and budget.used() == budget.words(past)
+    assert Decimal(num) == past and den == "3" and budget.used() == budget.words(past) ** 2
